@@ -27,12 +27,10 @@ from .multiquery import (
     sw_score_database_multi,
 )
 from .intersequence import (
-    DualPrecisionResult,
     LanePack,
     pack_database,
     sw_score_batch,
     sw_score_database,
-    sw_score_database_dual,
 )
 from .reference import DPMatrices, sw_matrix, sw_score_reference
 from .screening import (
@@ -112,8 +110,6 @@ __all__ = [
     "pack_database",
     "sw_score_batch",
     "sw_score_database",
-    "sw_score_database_dual",
-    "DualPrecisionResult",
     "DPMatrices",
     "sw_matrix",
     "sw_score_reference",

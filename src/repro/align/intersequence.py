@@ -12,12 +12,17 @@ CUDA threads:
   residue whose profile row is strongly negative;
 * one DP sweep advances **all lanes of a batch simultaneously**: the
   outer loop runs over subject positions, and each column update is a
-  ``(m, lanes)`` vectorized step, with the vertical ``F`` dependency
+  ``(lanes, m, Q)`` vectorized step, with the vertical ``F`` dependency
   solved by the same max-plus prefix scan as
   :mod:`repro.align.columnwise` (``np.maximum.accumulate`` down the
   query axis for every lane at once).
 
-Scores are bit-exact with the reference kernel.
+That sweep is the one kernel of the package.  It is parameterised by
+query count ``Q`` (stacked queries, :mod:`repro.align.multiquery`), an
+optional clip cap and the profile's dtype (the int32 saturating screen,
+:mod:`repro.align.screening`); :func:`sw_score_batch` is its
+single-query int64 form.  Scores are bit-exact with the reference
+kernel.
 """
 
 from __future__ import annotations
@@ -38,19 +43,10 @@ __all__ = [
     "pack_database",
     "sw_score_batch",
     "sw_score_database",
-    "sw_score_database_dual",
-    "DualPrecisionResult",
 ]
 
 #: Default lane count, mirroring a CUDA warp of 32 threads.
 DEFAULT_LANES = 32
-
-#: Score ceiling of the capped first pass (CUDASW++ 2.0 runs its
-#: virtualized-SIMD kernel in limited precision and recomputes the rare
-#: overflowing subjects exactly).
-DUAL_PASS_CAP = 32767
-
-_NEG = np.int64(-(1 << 40))
 
 
 @dataclass(frozen=True)
@@ -113,15 +109,98 @@ def pack_database(
         )
 
 
+#: Pad score of each sweep dtype: far below any real substitution score,
+#: yet far enough from the dtype's edge that ``pad + ramp`` cannot wrap.
+#: int64 is the exact sweep's state, int32 the capped screen's.
+_PAD = {np.dtype(np.int64): -(1 << 40), np.dtype(np.int32): -(1 << 20)}
+
+
+def _build_profile(
+    queries_codes, matrix: SubstitutionMatrix, dtype=np.int64
+) -> np.ndarray:
+    """Stacked padded query profiles: a read-only ``(A+1, m_max, Q)`` tensor.
+
+    ``profile[c, i, q]`` is the substitution score of residue code ``c``
+    against position ``i`` of query ``q``.  The pad-residue row
+    ``profile[-1]`` and every position past a query's end hold the
+    dtype's pad score, so padded cells can never raise a score.
+    """
+    if not len(queries_codes):
+        raise ValueError("at least one query is required")
+    dtype = np.dtype(dtype)
+    m_max = max(len(codes) for codes in queries_codes)
+    profile = np.full(
+        (matrix.alphabet.size + 1, m_max, len(queries_codes)),
+        _PAD[dtype],
+        dtype=dtype,
+    )
+    for q, codes in enumerate(queries_codes):
+        profile[:-1, : len(codes), q] = matrix.profile_for(codes)
+    profile.setflags(write=False)
+    return profile
+
+
 def _padded_profile(
     query_codes: np.ndarray, matrix: SubstitutionMatrix
 ) -> np.ndarray:
     """Query profile with one extra, strongly negative pad-residue row."""
-    m = len(query_codes)
-    profile = np.empty((matrix.alphabet.size + 1, m), dtype=np.int64)
-    profile[:-1] = matrix.profile_for(query_codes)
-    profile[-1] = _NEG
-    return profile
+    return _build_profile([query_codes], matrix)[:, :, 0]
+
+
+def _sweep(
+    profile: np.ndarray,
+    residues: np.ndarray,
+    gaps: GapModel,
+    cap: int | None = None,
+) -> np.ndarray:
+    """The lane sweep: best local score of every (lane, query) pair.
+
+    *profile* is an ``(A+1, m, Q)`` stacked profile and sets the dtype
+    of the whole DP state; *residues* is a pack's ``(rows, lanes)``
+    code matrix.  ``cap`` clips every H cell to ``[0, cap]`` (the
+    saturating screen); ``None`` runs the exact recurrence.  Returns
+    ``(lanes, Q)`` best scores in the profile's dtype.
+    """
+    _, m, nq = profile.shape
+    lanes = residues.shape[1]
+    dtype = profile.dtype
+    best = np.zeros((lanes, nq), dtype=dtype)
+    if m == 0 or lanes == 0:
+        return best
+    go = dtype.type(gaps.open)
+    ge = dtype.type(gaps.extend)
+    # DP state in (lanes, m, Q) layout: the per-row profile gather
+    # ``profile[residues[j]]`` lands contiguously, with no transpose.
+    H_prev = np.zeros((lanes, m + 1, nq), dtype=dtype)
+    E = np.full((lanes, m, nq), _PAD[dtype], dtype=dtype)
+    Ebuf = np.empty_like(E)
+    H = np.empty_like(E)
+    F = np.empty_like(E)
+    G = np.empty_like(H_prev)
+    column_best = np.empty_like(best)
+    ramp_up = (np.arange(1, m + 1, dtype=dtype) * ge)[None, :, None]
+    ramp_dn = (go + np.arange(m, dtype=dtype) * ge)[None, :, None]
+
+    for j in range(residues.shape[0]):
+        np.subtract(H_prev[:, 1:], go, out=Ebuf)
+        np.subtract(E, ge, out=E)
+        np.maximum(Ebuf, E, out=E)
+        np.add(H_prev[:, :-1], profile[residues[j]], out=H)
+        np.maximum(H, E, out=H)
+        np.clip(H, 0, cap, out=H)
+        # Lazy F by one max-plus prefix scan down the query axis.  One
+        # scan is the exact column fixpoint because GapModel guarantees
+        # open >= extend: a vertical gap routed through an F-raised cell
+        # pays an extra ``open - extend`` over the direct path.  F never
+        # exceeds the largest H, so a clipped column needs no re-clip.
+        G[:, 0] = 0
+        np.add(H, ramp_up, out=G[:, 1:])
+        np.maximum.accumulate(G, axis=1, out=G)
+        np.subtract(G[:, :-1], ramp_dn, out=F)
+        np.maximum(H, F, out=H)
+        np.maximum(best, H.max(axis=1, out=column_best), out=best)
+        H_prev[:, 1:] = H
+    return best
 
 
 def sw_score_batch(
@@ -137,151 +216,9 @@ def sw_score_batch(
     ``pack.order`` to scatter them back to database indices).  *profile*
     may be passed in when the same query is scored against many packs.
     """
-    m = len(query_codes)
-    lanes = pack.lanes
-    if m == 0 or lanes == 0:
-        return np.zeros(lanes, dtype=np.int64)
     if profile is None:
         profile = _padded_profile(query_codes, matrix)
-
-    go = np.int64(gaps.open)
-    ge = np.int64(gaps.extend)
-    H_prev = np.zeros((m + 1, lanes), dtype=np.int64)
-    E_prev = np.full((m, lanes), _NEG, dtype=np.int64)
-    ramp_up = (np.arange(m + 1, dtype=np.int64) * ge)[:, None]
-    ramp_dn = (go + np.arange(m, dtype=np.int64) * ge)[:, None]
-    G = np.empty((m + 1, lanes), dtype=np.int64)
-    best = np.zeros(lanes, dtype=np.int64)
-
-    for j in range(pack.residues.shape[0]):
-        prof = profile[pack.residues[j]].T  # (m, lanes)
-        E = np.maximum(H_prev[1:] - go, E_prev - ge)
-        H = np.maximum(H_prev[:-1] + prof, E)
-        np.maximum(H, 0, out=H)
-        # Lazy-F fixpoint via a per-lane prefix scan down the query axis.
-        while True:
-            G[0] = 0
-            np.add(H, ramp_up[1:], out=G[1:])
-            prefix = np.maximum.accumulate(G, axis=0)[:-1]
-            F = prefix - ramp_dn
-            raised = F > H
-            if not raised.any():
-                break
-            np.maximum(H, F, out=H)
-        np.maximum(best, H.max(axis=0), out=best)
-        H_prev[1:] = H
-        E_prev = E
-    return best
-
-
-@dataclass(frozen=True)
-class DualPrecisionResult:
-    """Outcome of the dual-precision database sweep."""
-
-    scores: np.ndarray  # database order
-    overflowed: np.ndarray  # bool per record: needed the exact re-run
-
-    @property
-    def overflow_fraction(self) -> float:
-        """Fraction of records that needed the exact re-run."""
-        if self.overflowed.size == 0:
-            return 0.0
-        return float(self.overflowed.mean())
-
-
-def sw_score_batch_capped(
-    query_codes: np.ndarray,
-    pack: LanePack,
-    matrix: SubstitutionMatrix,
-    gaps: GapModel,
-    cap: int = DUAL_PASS_CAP,
-    profile: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Capped-precision lane sweep: ``(scores, saturated)`` per lane.
-
-    Scores saturate (clip) at *cap*; a saturated lane's score is a lower
-    bound and must be recomputed exactly.  This is the cheap first pass
-    of CUDASW++'s two-precision pipeline.
-    """
-    m = len(query_codes)
-    lanes = pack.lanes
-    if m == 0 or lanes == 0:
-        return (
-            np.zeros(lanes, dtype=np.int64),
-            np.zeros(lanes, dtype=bool),
-        )
-    if profile is None:
-        profile = _padded_profile(query_codes, matrix)
-    go = np.int64(gaps.open)
-    ge = np.int64(gaps.extend)
-    H_prev = np.zeros((m + 1, lanes), dtype=np.int64)
-    E_prev = np.full((m, lanes), _NEG, dtype=np.int64)
-    ramp_up = (np.arange(m + 1, dtype=np.int64) * ge)[:, None]
-    ramp_dn = (go + np.arange(m, dtype=np.int64) * ge)[:, None]
-    G = np.empty((m + 1, lanes), dtype=np.int64)
-    best = np.zeros(lanes, dtype=np.int64)
-    for j in range(pack.residues.shape[0]):
-        prof = profile[pack.residues[j]].T
-        E = np.maximum(H_prev[1:] - go, E_prev - ge)
-        H = np.maximum(H_prev[:-1] + prof, E)
-        np.clip(H, 0, cap, out=H)  # the saturating register arithmetic
-        while True:
-            G[0] = 0
-            np.add(H, ramp_up[1:], out=G[1:])
-            prefix = np.maximum.accumulate(G, axis=0)[:-1]
-            F = prefix - ramp_dn
-            raised = F > H
-            if not raised.any():
-                break
-            np.maximum(H, F, out=H)
-            np.clip(H, 0, cap, out=H)
-        np.maximum(best, H.max(axis=0), out=best)
-        H_prev[1:] = H
-        E_prev = E
-    return best, best >= cap
-
-
-def sw_score_database_dual(
-    query: Sequence,
-    database: SequenceDatabase,
-    matrix: SubstitutionMatrix,
-    gaps: GapModel,
-    lanes: int = DEFAULT_LANES,
-    cap: int = DUAL_PASS_CAP,
-) -> DualPrecisionResult:
-    """CUDASW++-style two-precision sweep over the database.
-
-    All lanes run the capped pass first; only subjects that saturated
-    the cap are re-scored exactly.  The result is bit-exact with
-    :func:`sw_score_database` (asserted by the test suite) while the
-    expensive exact path runs on the overflow set only.
-    """
-    query_codes = _codes(query, matrix)
-    profile = _padded_profile(query_codes, matrix)
-    scores = np.zeros(len(database), dtype=np.int64)
-    overflowed = np.zeros(len(database), dtype=bool)
-    for pack in pack_database(database, matrix, lanes=lanes):
-        capped, saturated = sw_score_batch_capped(
-            query_codes, pack, matrix, gaps, cap=cap, profile=profile
-        )
-        scores[pack.order] = capped
-        overflowed[pack.order] = saturated
-    for index in np.flatnonzero(overflowed):
-        exact = sw_score_batch(
-            query_codes,
-            next(
-                pack_database(
-                    SequenceDatabase([database[int(index)]], name="re"),
-                    matrix,
-                    lanes=1,
-                )
-            ),
-            matrix,
-            gaps,
-            profile=profile,
-        )
-        scores[index] = exact[0]
-    return DualPrecisionResult(scores=scores, overflowed=overflowed)
+    return _sweep(profile[:, :, None], pack.residues, gaps)[:, 0]
 
 
 def sw_score_database(

@@ -7,22 +7,17 @@ several **queries** share one sweep over the packed database, so the
 database conversion, the lane bookkeeping, and the Python-level loop
 overhead are all paid once per batch instead of once per query.
 
-This module stacks query profiles into a 3-D ``(m, lanes, queries)``
+This module stacks query profiles into a 3-D ``(lanes, m, queries)``
 sweep:
 
 * each query's padded profile becomes one slab of a
   ``(alphabet + 1, m_max, Q)`` tensor (:class:`MultiQueryProfile`);
   queries shorter than ``m_max`` are padded with the same strongly
   negative sentinel rows used for subject-lane padding;
-* the DP recurrence is the exact recurrence of
-  :func:`repro.align.intersequence.sw_score_batch` with one extra
-  query axis — every numpy op broadcasts over all ``m x lanes x Q``
-  cells (held in ``(lanes, m, Q)`` layout so the per-row profile
-  gather lands contiguously), and the lazy-F fixpoint runs jointly
-  over all lanes *and* queries: one prefix scan when
-  ``open >= extend``, where a path routed through an F-raised cell
-  always pays an extra ``open - extend`` and the scan is provably the
-  exact column fixpoint.
+* the sweep is the package's one lane kernel
+  (:mod:`repro.align.intersequence`) with ``Q`` stacked queries: every
+  numpy op broadcasts over all ``lanes x m x Q`` cells, and the lazy-F
+  prefix scan runs jointly over all lanes *and* queries.
 
 Padding is provably inert: a padded query row can only be reached
 through a gap that subtracts a positive open penalty from an H value
@@ -41,7 +36,13 @@ import numpy as np
 from ..sequences.database import SequenceDatabase
 from ..sequences.records import Sequence
 from .gaps import GapModel
-from .intersequence import DEFAULT_LANES, LanePack, _NEG, pack_database
+from .intersequence import (
+    DEFAULT_LANES,
+    LanePack,
+    _build_profile,
+    _sweep,
+    pack_database,
+)
 from .reference import _codes
 from .scoring import SubstitutionMatrix
 
@@ -63,7 +64,7 @@ class MultiQueryProfile:
     negative so padded cells can never raise a score.
     """
 
-    profile: np.ndarray  # (alphabet + 1, m_max, Q) int64
+    profile: np.ndarray  # (alphabet + 1, m_max, Q) int64 or int32
     lengths: np.ndarray  # (Q,) int64
 
     @property
@@ -76,25 +77,24 @@ class MultiQueryProfile:
         """Padded query length shared by the sweep."""
         return self.profile.shape[1]
 
+    @classmethod
+    def build(
+        cls,
+        queries_codes: SequenceType[np.ndarray],
+        matrix: SubstitutionMatrix,
+        dtype=np.int64,
+    ) -> "MultiQueryProfile":
+        """Stack the queries' padded profiles into one tensor."""
+        lengths = np.array([len(c) for c in queries_codes], dtype=np.int64)
+        return cls(_build_profile(queries_codes, matrix, dtype), lengths)
+
 
 def build_multi_profile(
     queries_codes: SequenceType[np.ndarray],
     matrix: SubstitutionMatrix,
 ) -> MultiQueryProfile:
     """Stack per-query padded profiles into one ``(A+1, m_max, Q)`` tensor."""
-    if not queries_codes:
-        raise ValueError("at least one query is required")
-    lengths = np.array([len(c) for c in queries_codes], dtype=np.int64)
-    m_max = int(lengths.max())
-    alpha = matrix.alphabet.size
-    profile = np.full(
-        (alpha + 1, max(m_max, 1), len(queries_codes)), _NEG, dtype=np.int64
-    )
-    for q, codes in enumerate(queries_codes):
-        if len(codes):
-            profile[:-1, : len(codes), q] = matrix.profile_for(codes)
-    profile.setflags(write=False)
-    return MultiQueryProfile(profile=profile, lengths=lengths)
+    return MultiQueryProfile.build(queries_codes, matrix)
 
 
 def sw_score_batch_multi(
@@ -106,59 +106,8 @@ def sw_score_batch_multi(
 
     Returns a ``(Q, lanes)`` int64 array of best local-alignment scores
     in lane order (scatter through ``pack.order`` for database order).
-    The recurrence mirrors :func:`~repro.align.intersequence.sw_score_batch`
-    with a trailing query axis.
     """
-    m = mq.max_length
-    lanes = pack.lanes
-    nq = mq.queries
-    if lanes == 0 or int(mq.lengths.max(initial=0)) == 0:
-        return np.zeros((nq, lanes), dtype=np.int64)
-
-    profile = mq.profile
-    go = np.int64(gaps.open)
-    ge = np.int64(gaps.extend)
-    # When opening costs at least as much as extending, any F path
-    # routed through an F-raised cell is dominated by the direct path
-    # (it pays an extra ``open - extend``), so one prefix scan computes
-    # the exact column fixpoint and the verification pass is skipped.
-    single_pass = gaps.open >= gaps.extend
-    # DP state in (lanes, m, Q) layout: the profile gather below lands
-    # contiguously, with no per-row transpose copy.
-    H_prev = np.zeros((lanes, m + 1, nq), dtype=np.int64)
-    E = np.full((lanes, m, nq), _NEG, dtype=np.int64)
-    Ebuf = np.empty_like(E)
-    H = np.empty_like(E)
-    F = np.empty_like(E)
-    ramp_up = (np.arange(1, m + 1, dtype=np.int64) * ge)[None, :, None]
-    ramp_dn = (go + np.arange(m, dtype=np.int64) * ge)[None, :, None]
-    G = np.empty((lanes, m + 1, nq), dtype=np.int64)
-    best = np.zeros((lanes, nq), dtype=np.int64)
-
-    for j in range(pack.residues.shape[0]):
-        prof = profile[pack.residues[j]]  # (lanes, m, Q), contiguous
-        np.subtract(H_prev[:, 1:], go, out=Ebuf)
-        np.subtract(E, ge, out=E)
-        np.maximum(Ebuf, E, out=E)
-        np.add(H_prev[:, :-1], prof, out=H)
-        np.maximum(H, E, out=H)
-        np.maximum(H, 0, out=H)
-        # Joint lazy-F fixpoint: one prefix scan per (lane, query) pair.
-        while True:
-            G[:, 0] = 0
-            np.add(H, ramp_up, out=G[:, 1:])
-            np.maximum.accumulate(G, axis=1, out=G)
-            np.subtract(G[:, :-1], ramp_dn, out=F)
-            if single_pass:
-                np.maximum(H, F, out=H)
-                break
-            raised = F > H
-            if not raised.any():
-                break
-            np.maximum(H, F, out=H)
-        np.maximum(best, H.max(axis=1), out=best)
-        H_prev[:, 1:] = H
-    return best.T  # (Q, lanes)
+    return _sweep(mq.profile, pack.residues, gaps).T
 
 
 def sw_score_database_multi(

@@ -14,8 +14,8 @@ This module is that pipeline for the numpy engines:
   what amortizes the per-column numpy dispatch overhead that dominates
   the 32-lane exact sweep;
 * :func:`sw_screen_batch` (and the multi-query
-  :func:`sw_screen_batch_multi`) run the DP recurrence of
-  :func:`~repro.align.intersequence.sw_score_batch` in **int32 with
+  :func:`sw_screen_batch_multi`) run the package's one lane sweep
+  (:mod:`repro.align.intersequence`) in **int32 with
   scores clipped to ``[0, cap]``** — the numpy analogue of 8-bit
   saturating SIMD registers.  Any clipping event forces some H cell to
   equal the cap, so ``best >= cap`` exactly characterizes the lanes
@@ -48,7 +48,9 @@ from ..sequences.records import Sequence
 from .gaps import GapModel
 from .intersequence import (
     DEFAULT_LANES,
+    _build_profile,
     _padded_profile,
+    _sweep,
     pack_database,
     sw_score_batch,
 )
@@ -88,10 +90,6 @@ DEFAULT_SCREEN_LANES = 256
 #: length by less than this, so at most ``bin_width - 1`` padding rows
 #: per lane regardless of how wide the lanes are.
 DEFAULT_BIN_WIDTH = 16
-
-#: Strongly negative int32 pad score.  Far below any real substitution
-#: score, yet far from the int32 edge so ``pad + ramp`` cannot wrap.
-_NEG32 = np.int32(-(1 << 20))
 
 
 @dataclass(frozen=True)
@@ -208,11 +206,7 @@ def build_screen_profile(
     cell, which can overflow int16 for long queries; int32 still halves
     the memory traffic of the exact kernel's int64 state.
     """
-    m = len(query_codes)
-    profile = np.empty((matrix.alphabet.size + 1, m), dtype=np.int32)
-    profile[:-1] = matrix.profile_for(query_codes)
-    profile[-1] = _NEG32
-    return profile
+    return _build_profile([query_codes], matrix, np.int32)[:, :, 0]
 
 
 def sw_screen_batch(
@@ -232,59 +226,10 @@ def sw_screen_batch(
     so ``best >= cap`` — the returned ``saturated`` mask — covers every
     lane whose score might be a lower bound.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    m = len(query_codes)
-    lanes = pack.lanes
-    if m == 0 or lanes == 0:
-        return np.zeros(lanes, dtype=np.int64), np.zeros(lanes, dtype=bool)
     if profile is None:
         profile = build_screen_profile(query_codes, matrix)
-
-    go = np.int32(gaps.open)
-    ge = np.int32(gaps.extend)
-    # One prefix scan is the exact column fixpoint when open >= extend
-    # (see multiquery.py); clipping preserves the argument because a
-    # clipped lane is saturated and gets rescored regardless.
-    single_pass = gaps.open >= gaps.extend
-    # DP state in (lanes, m) layout: the per-row profile gather
-    # ``profile[pack.residues[j]]`` lands contiguously.
-    H_prev = np.zeros((lanes, m + 1), dtype=np.int32)
-    E = np.full((lanes, m), _NEG32, dtype=np.int32)
-    Ebuf = np.empty_like(E)
-    H = np.empty_like(E)
-    F = np.empty_like(E)
-    ramp_up = (np.arange(1, m + 1, dtype=np.int32) * ge)[None, :]
-    ramp_dn = (go + np.arange(m, dtype=np.int32) * ge)[None, :]
-    G = np.empty((lanes, m + 1), dtype=np.int32)
-    best = np.zeros(lanes, dtype=np.int32)
-
-    for j in range(pack.residues.shape[0]):
-        prof = profile[pack.residues[j]]  # (lanes, m), contiguous
-        np.subtract(H_prev[:, 1:], go, out=Ebuf)
-        np.subtract(E, ge, out=E)
-        np.maximum(Ebuf, E, out=E)
-        np.add(H_prev[:, :-1], prof, out=H)
-        np.maximum(H, E, out=H)
-        np.clip(H, 0, cap, out=H)  # the saturating register arithmetic
-        while True:
-            G[:, 0] = 0
-            np.add(H, ramp_up, out=G[:, 1:])
-            np.maximum.accumulate(G, axis=1, out=G)
-            np.subtract(G[:, :-1], ramp_dn, out=F)
-            if single_pass:
-                # F <= max(H) <= cap here, so no re-clip is needed.
-                np.maximum(H, F, out=H)
-                break
-            raised = F > H
-            if not raised.any():
-                break
-            np.maximum(H, F, out=H)
-            np.clip(H, 0, cap, out=H)
-        np.maximum(best, H.max(axis=1), out=best)
-        H_prev[:, 1:] = H
-    scores = best.astype(np.int64)
-    return scores, scores >= cap
+    scores, saturated = _screen(profile[:, :, None], pack, gaps, cap)
+    return scores[0], saturated[0]
 
 
 def build_screen_multi_profile(
@@ -292,19 +237,7 @@ def build_screen_multi_profile(
     matrix: SubstitutionMatrix,
 ) -> MultiQueryProfile:
     """Stacked int32 query profiles for the multi-query screen."""
-    if not queries_codes:
-        raise ValueError("at least one query is required")
-    lengths = np.array([len(c) for c in queries_codes], dtype=np.int64)
-    m_max = int(lengths.max())
-    alpha = matrix.alphabet.size
-    profile = np.full(
-        (alpha + 1, max(m_max, 1), len(queries_codes)), _NEG32, dtype=np.int32
-    )
-    for q, codes in enumerate(queries_codes):
-        if len(codes):
-            profile[:-1, : len(codes), q] = matrix.profile_for(codes)
-    profile.setflags(write=False)
-    return MultiQueryProfile(profile=profile, lengths=lengths)
+    return MultiQueryProfile.build(queries_codes, matrix, np.int32)
 
 
 def sw_screen_batch_multi(
@@ -316,59 +249,16 @@ def sw_screen_batch_multi(
     """Screen every stacked query against every lane of *pack* at once.
 
     Returns ``(scores, saturated)`` as ``(Q, lanes)`` arrays in lane
-    order — the recurrence of
-    :func:`~repro.align.multiquery.sw_score_batch_multi` with the same
-    ``[0, cap]`` clipping as :func:`sw_screen_batch`.
+    order, with the same ``[0, cap]`` clipping as :func:`sw_screen_batch`.
     """
+    return _screen(mq.profile, pack, gaps, cap)
+
+
+def _screen(profile, pack, gaps, cap):
+    """Capped sweep: ``(Q, lanes)`` int64 scores and saturation mask."""
     if cap <= 0:
         raise ValueError("cap must be positive")
-    m = mq.max_length
-    lanes = pack.lanes
-    nq = mq.queries
-    if lanes == 0 or int(mq.lengths.max(initial=0)) == 0:
-        return (
-            np.zeros((nq, lanes), dtype=np.int64),
-            np.zeros((nq, lanes), dtype=bool),
-        )
-
-    profile = mq.profile
-    go = np.int32(gaps.open)
-    ge = np.int32(gaps.extend)
-    single_pass = gaps.open >= gaps.extend
-    H_prev = np.zeros((lanes, m + 1, nq), dtype=np.int32)
-    E = np.full((lanes, m, nq), _NEG32, dtype=np.int32)
-    Ebuf = np.empty_like(E)
-    H = np.empty_like(E)
-    F = np.empty_like(E)
-    ramp_up = (np.arange(1, m + 1, dtype=np.int32) * ge)[None, :, None]
-    ramp_dn = (go + np.arange(m, dtype=np.int32) * ge)[None, :, None]
-    G = np.empty((lanes, m + 1, nq), dtype=np.int32)
-    best = np.zeros((lanes, nq), dtype=np.int32)
-
-    for j in range(pack.residues.shape[0]):
-        prof = profile[pack.residues[j]]  # (lanes, m, Q), contiguous
-        np.subtract(H_prev[:, 1:], go, out=Ebuf)
-        np.subtract(E, ge, out=E)
-        np.maximum(Ebuf, E, out=E)
-        np.add(H_prev[:, :-1], prof, out=H)
-        np.maximum(H, E, out=H)
-        np.clip(H, 0, cap, out=H)
-        while True:
-            G[:, 0] = 0
-            np.add(H, ramp_up, out=G[:, 1:])
-            np.maximum.accumulate(G, axis=1, out=G)
-            np.subtract(G[:, :-1], ramp_dn, out=F)
-            if single_pass:
-                np.maximum(H, F, out=H)
-                break
-            raised = F > H
-            if not raised.any():
-                break
-            np.maximum(H, F, out=H)
-            np.clip(H, 0, cap, out=H)
-        np.maximum(best, H.max(axis=1), out=best)
-        H_prev[:, 1:] = H
-    scores = best.T.astype(np.int64)  # (Q, lanes)
+    scores = _sweep(profile, pack.residues, gaps, cap).T.astype(np.int64)
     return scores, scores >= cap
 
 

@@ -39,13 +39,8 @@ from .protocol import (
 
 __all__ = ["WorkerConfig", "ResilientLink", "run_worker"]
 
-def _gpu_dual(*args, **kwargs) -> Engine:
-    return InterSequenceEngine(*args, dual_precision=True, **kwargs)
-
-
-_ENGINE_CLASSES: dict[str, "type[Engine] | object"] = {
+_ENGINE_CLASSES: dict[str, "type[Engine]"] = {
     "gpu": InterSequenceEngine,
-    "gpu-dual": _gpu_dual,  # CUDASW++-style capped pass + exact re-run
     "sse": StripedSSEEngine,
     "scan": ScanEngine,
 }
@@ -118,7 +113,7 @@ class WorkerConfig:
             cache=self.cache,
             store=self.store,
         )
-        if self.engine in ("gpu", "gpu-dual"):
+        if self.engine == "gpu":
             kwargs["screen"] = self.screen
             kwargs["screen_threshold"] = self.screen_threshold
         return cls(

@@ -300,11 +300,7 @@ class StripedSSEEngine(Engine):
 class InterSequenceEngine(Engine):
     """One GPU-analogue running the lane-packed CUDASW++-style kernel.
 
-    ``dual_precision=True`` enables the capped-first-pass pipeline
-    (CUDASW++'s limited-precision kernel + exact recompute of the rare
-    saturating subjects); scores are bit-identical either way.
-
-    ``screen=True`` enables the two-stage screening pipeline instead:
+    ``screen=True`` enables the two-stage screening pipeline:
     an 8-bit saturating sweep over tightly length-binned packs screens
     the whole database, and only sequences that saturated or cleared
     the (adaptive or explicit ``screen_threshold``) rescore bar re-run
@@ -319,7 +315,6 @@ class InterSequenceEngine(Engine):
         self,
         *args,
         lanes: int = 32,
-        dual_precision: bool = False,
         screen: bool = False,
         screen_threshold: int | None = None,
         screen_lanes: int = DEFAULT_SCREEN_LANES,
@@ -328,7 +323,6 @@ class InterSequenceEngine(Engine):
     ):
         super().__init__(*args, **kwargs)
         self.lanes = lanes
-        self.dual_precision = dual_precision
         self.screen = screen
         self.screen_threshold = screen_threshold
         self.screen_lanes = screen_lanes
@@ -356,29 +350,20 @@ class InterSequenceEngine(Engine):
             database, self.matrix, self.screen_lanes, self.screen_bin_width
         )
 
-    def _screen_profile(self, query_codes):
+    def _profile(self, kind, codes, build):
+        """``build(codes, matrix)``, memoized when caching is enabled.
+
+        *codes* is one query's residue codes, or a list of them for a
+        stacked multi-query profile; the cache keys on their bytes.
+        """
         if self.profile_cache is None:
-            return build_screen_profile(query_codes, self.matrix)
-
-        def build():
-            profile = build_screen_profile(query_codes, self.matrix)
-            profile.setflags(write=False)
-            return profile
-
+            return build(codes, self.matrix)
+        if isinstance(codes, list):
+            key = tuple(c.tobytes() for c in codes)
+        else:
+            key = codes.tobytes()
         return self.profile_cache.get_or_build(
-            "screen", query_codes.tobytes(), self.matrix, (), build
-        )
-
-    def _screen_multi_profile(self, queries_codes):
-        if self.profile_cache is None:
-            return build_screen_multi_profile(queries_codes, self.matrix)
-        key = tuple(codes.tobytes() for codes in queries_codes)
-        return self.profile_cache.get_or_build(
-            "screen-multi",
-            key,
-            self.matrix,
-            (),
-            lambda: build_screen_multi_profile(queries_codes, self.matrix),
+            kind, key, self.matrix, (), lambda: build(codes, self.matrix)
         )
 
     def search(self, query, database, progress=None):
@@ -387,65 +372,47 @@ class InterSequenceEngine(Engine):
         from ..align.reference import _codes
 
         query_codes = _codes(query, self.matrix)
-        profile = self._screen_profile(query_codes)
-        screened = np.zeros(len(database), dtype=np.int64)
-        saturated = np.zeros(len(database), dtype=bool)
-        for pack in self._binned_packs(database):
-            batch, flags = sw_screen_batch(
+        profile = self._profile("screen", query_codes, build_screen_profile)
+
+        def screen(pack):
+            scores, saturated = sw_screen_batch(
                 query_codes, pack, self.matrix, self.gaps, profile=profile
             )
-            screened[pack.order] = batch
-            saturated[pack.order] = flags
-            if progress is not None:
-                cells = len(query_codes) * pack.cells_per_query_residue
-                if not progress(ChunkProgress(cells)):
-                    return None
+            return scores[None], saturated[None]
+
+        screened, saturated, aborted = self._sweep_packs(
+            self._binned_packs(database),
+            screen,
+            [query_codes],
+            len(database),
+            progress=(
+                None if progress is None
+                else lambda _position, chunk: progress(chunk)
+            ),
+        )
+        if aborted[0]:
+            return None
         result = rescore_screened(
             query_codes,
             database,
             self.matrix,
             self.gaps,
-            screened,
-            saturated,
+            screened[0],
+            saturated[0],
             top=self.top,
             threshold=self.screen_threshold,
             stats=self.screen_stats,
         )
         return self._hits_from_scores(result.scores, database)
 
-    def _query_profile(self, query_codes):
-        if self.profile_cache is None:
-            return _padded_profile(query_codes, self.matrix)
-
-        def build():
-            profile = _padded_profile(query_codes, self.matrix)
-            profile.setflags(write=False)
-            return profile
-
-        return self.profile_cache.get_or_build(
-            "padded", query_codes.tobytes(), self.matrix, (), build
-        )
-
-    def _multi_profile(self, queries_codes):
-        if self.profile_cache is None:
-            return build_multi_profile(queries_codes, self.matrix)
-        key = tuple(codes.tobytes() for codes in queries_codes)
-        return self.profile_cache.get_or_build(
-            "multi",
-            key,
-            self.matrix,
-            (),
-            lambda: build_multi_profile(queries_codes, self.matrix),
-        )
-
     def search_batch(self, queries, database, progress=None, cancelled=None):
         """Native multi-query sweep: all queries share each lane pack.
 
         One 3-D DP sweep (:func:`~repro.align.multiquery.sw_score_batch_multi`)
         advances every query over a pack simultaneously, so the pack
-        loop, the profile gather and the lazy-F fixpoint are paid once
-        per batch.  Abort/cancel granularity stays per pack, exactly as
-        in the singleton path.
+        loop, the profile gather and the lazy-F scan are paid once per
+        batch.  Abort/cancel granularity stays per pack, exactly as in
+        the singleton path.
         """
         from ..align.reference import _codes
 
@@ -456,25 +423,15 @@ class InterSequenceEngine(Engine):
                 queries, database, progress=progress, cancelled=cancelled
             )
         queries_codes = [_codes(q, self.matrix) for q in queries]
-        mq = self._multi_profile(queries_codes)
-        scores = np.zeros((len(queries), len(database)), dtype=np.int64)
-        aborted = [False] * len(queries)
-        for pack in self._packs(database):
-            batch = sw_score_batch_multi(mq, pack, self.gaps)
-            scores[:, pack.order] = batch
-            for position in range(len(queries)):
-                if aborted[position]:
-                    continue
-                if cancelled is not None and cancelled(position):
-                    aborted[position] = True
-                    continue
-                if progress is not None:
-                    cells = (
-                        len(queries_codes[position])
-                        * pack.cells_per_query_residue
-                    )
-                    if not progress(position, ChunkProgress(cells)):
-                        aborted[position] = True
+        mq = self._profile("multi", queries_codes, build_multi_profile)
+        scores, _, aborted = self._sweep_packs(
+            self._packs(database),
+            lambda pack: (sw_score_batch_multi(mq, pack, self.gaps), False),
+            queries_codes,
+            len(database),
+            progress,
+            cancelled,
+        )
         return [
             None if aborted[position]
             else self._hits_from_scores(scores[position], database)
@@ -493,27 +450,19 @@ class InterSequenceEngine(Engine):
         from ..align.reference import _codes
 
         queries_codes = [_codes(q, self.matrix) for q in queries]
-        mq = self._screen_multi_profile(queries_codes)
-        screened = np.zeros((len(queries), len(database)), dtype=np.int64)
-        saturated = np.zeros((len(queries), len(database)), dtype=bool)
-        aborted = [False] * len(queries)
-        for pack in self._binned_packs(database):
-            batch, flags = sw_screen_batch_multi(mq, pack, self.gaps)
-            screened[:, pack.order] = batch
-            saturated[:, pack.order] = flags
-            for position in range(len(queries)):
-                if aborted[position]:
-                    continue
-                if cancelled is not None and cancelled(position):
-                    aborted[position] = True
-                    continue
-                if progress is not None:
-                    cells = (
-                        len(queries_codes[position])
-                        * pack.cells_per_query_residue
-                    )
-                    if not progress(position, ChunkProgress(cells)):
-                        aborted[position] = True
+        mq = self._profile(
+            "screen-multi", queries_codes, build_screen_multi_profile
+        )
+        screened, saturated, aborted = self._sweep_packs(
+            self._binned_packs(database),
+            lambda pack: sw_screen_batch_multi(mq, pack, self.gaps),
+            queries_codes,
+            len(database),
+            progress,
+            cancelled,
+        )
+        if all(aborted):
+            return [None] * len(queries)
         result = rescore_screened_multi(
             queries,
             database,
@@ -531,37 +480,50 @@ class InterSequenceEngine(Engine):
             for position in range(len(queries))
         ]
 
+    @staticmethod
+    def _sweep_packs(
+        packs, sweep, queries_codes, n, progress=None, cancelled=None
+    ):
+        """Run ``sweep(pack)`` over *packs* with per-pack progress/cancel.
+
+        ``sweep`` returns ``(scores, flags)`` as ``(Q, lanes)`` lane-order
+        arrays (``flags`` may be a scalar); both are scattered into
+        ``(Q, n)`` database order.  After each pack every live query is
+        polled (*cancelled*) and then reported (*progress*, ``False``
+        aborts it); once every query is aborted the remaining packs are
+        skipped.  Returns ``(scores, flags, aborted)``.
+        """
+        nq = len(queries_codes)
+        scores = np.zeros((nq, n), dtype=np.int64)
+        flags = np.zeros((nq, n), dtype=bool)
+        aborted = [False] * nq
+        for pack in packs:
+            batch, batch_flags = sweep(pack)
+            scores[:, pack.order] = batch
+            flags[:, pack.order] = batch_flags
+            for position, codes in enumerate(queries_codes):
+                if aborted[position]:
+                    continue
+                if cancelled is not None and cancelled(position):
+                    aborted[position] = True
+                    continue
+                if progress is not None:
+                    cells = len(codes) * pack.cells_per_query_residue
+                    if not progress(position, ChunkProgress(cells)):
+                        aborted[position] = True
+            if all(aborted):
+                break
+        return scores, flags, aborted
+
     def _score_chunks(self, query, database):
-        from ..align.intersequence import sw_score_batch_capped
         from ..align.reference import _codes
-        from ..sequences.database import SequenceDatabase as _DB
 
         query_codes = _codes(query, self.matrix)
-        profile = self._query_profile(query_codes)
+        profile = self._profile("padded", query_codes, _padded_profile)
         for pack in self._packs(database):
-            if self.dual_precision:
-                scores, saturated = sw_score_batch_capped(
-                    query_codes, pack, self.matrix, self.gaps,
-                    profile=profile,
-                )
-                for lane in np.flatnonzero(saturated):
-                    redo = next(
-                        pack_database(
-                            _DB([database[int(pack.order[lane])]],
-                                name="redo"),
-                            self.matrix,
-                            lanes=1,
-                        )
-                    )
-                    scores[lane] = sw_score_batch(
-                        query_codes, redo, self.matrix, self.gaps,
-                        profile=profile,
-                    )[0]
-            else:
-                scores = sw_score_batch(
-                    query_codes, pack, self.matrix, self.gaps,
-                    profile=profile,
-                )
+            scores = sw_score_batch(
+                query_codes, pack, self.matrix, self.gaps, profile=profile
+            )
             chunk_cells = len(query_codes) * pack.cells_per_query_residue
             for lane, db_index in enumerate(pack.order):
                 is_last = lane + 1 == len(pack.order)

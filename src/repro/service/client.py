@@ -240,7 +240,8 @@ class LoadgenReport:
     #: dropped after exhausting retries) — distinct from shed, where
     #: the master answered and said no.
     unreachable: int = 0
-    #: Submit-to-done latency of every completed request (seconds).
+    #: Submit-to-done latency of every completed request (seconds),
+    #: ``finished_at - submitted_at`` on the service's clock.
     latencies: list[float] = field(default_factory=list)
     #: request_id -> decoded hits of completed requests.
     hits: dict[str, tuple[SearchHit, ...]] = field(default_factory=dict)
@@ -321,7 +322,7 @@ def run_loadgen(
         min_length=min_length, max_length=max_length,
     )
     report = LoadgenReport(rate=rate, horizon=horizon)
-    pending: list[tuple[str, float]] = []  # (request_id, submitted_at)
+    pending: list[str] = []  # admitted request ids
     client = ServiceClient(host, port)
     try:
         start = time.perf_counter()
@@ -353,20 +354,23 @@ def run_loadgen(
                 )
             if reply.get("type") == "accepted":
                 report.admitted += 1
-                pending.append(
-                    (str(reply["request_id"]), time.perf_counter())
-                )
+                pending.append(str(reply["request_id"]))
             elif reply.get("type") == "unreachable":
                 report.unreachable += 1
             else:
                 reason = str(reply.get("reason", "unknown"))
                 report.shed[reason] = report.shed.get(reason, 0) + 1
-        for request_id, submitted in pending:
+        for request_id in pending:
             reply = client.wait(request_id, timeout=wait_timeout)
             state = reply.get("state")
             if state == "done":
                 report.completed += 1
-                report.latencies.append(time.perf_counter() - submitted)
+                # The service's own clock: waiting starts only after the
+                # last arrival, so a client-side stopwatch would charge
+                # early requests for the rest of the horizon.
+                report.latencies.append(
+                    reply["finished_at"] - reply["submitted_at"]
+                )
                 if collect_hits:
                     report.hits[request_id] = reply.get("hits") or ()
             elif state == "expired":

@@ -302,25 +302,6 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             config.build_engine()
 
-    def test_dual_precision_engine_kind(self):
-        config = WorkerConfig(
-            host="127.0.0.1", port=1, pe_id="x", engine="gpu-dual",
-            query_path="q", database_path="d",
-        )
-        engine = config.build_engine()
-        assert engine.dual_precision is True
-
-    def test_dual_precision_workers_end_to_end(self, cluster_workload):
-        queries, database, expected = cluster_workload
-        report = run_cluster(
-            queries,
-            database,
-            {"gpu0": "gpu-dual"},
-            use_processes=False,
-            timeout=120,
-        )
-        self._check(report, expected)
-
 
 class TestResilience:
     """Retry/backoff, reconnect, idempotent results, reaping defaults."""

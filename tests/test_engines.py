@@ -65,32 +65,18 @@ class TestPEClass:
         assert ScanEngine(BLOSUM62).pe_class == "scan"
 
 
-class TestDualPrecisionEngine:
-    def test_parity_with_exact_engine(self, query, mini_database):
-        exact = InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, top=6)
-        dual = InterSequenceEngine(
-            BLOSUM62, DEFAULT_GAPS, top=6, dual_precision=True
-        )
-        assert [
-            (h.subject_index, h.score)
-            for h in dual.search(query, mini_database)
-        ] == [
-            (h.subject_index, h.score)
-            for h in exact.search(query, mini_database)
-        ]
-
-    def test_saturating_subject_recomputed(self):
+class TestLongQuery:
+    def test_self_match_beyond_16_bits(self):
+        """The only long-query case above 32767: a W x 3200 self-match."""
         from repro.sequences import Sequence, SequenceDatabase
 
         big = Sequence(id="w", residues="W" * 3200)
         db = SequenceDatabase(
             [big, Sequence(id="small", residues="MKVLAW")]
         )
-        engine = InterSequenceEngine(
-            BLOSUM62, DEFAULT_GAPS, top=1, dual_precision=True
-        )
+        engine = InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, top=1)
         hits = engine.search(big, db)
-        assert hits[0].score == 3200 * 11  # beyond the 32767 cap
+        assert hits[0].score == 3200 * 11
 
 
 class TestThrottledEngine:

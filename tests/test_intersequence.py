@@ -99,48 +99,6 @@ class TestAgreement:
         query = random_sequence(10, rng)
         assert sw_score_database(query, db, blosum62, default_gaps).size == 0
 
-    def test_dual_precision_bit_exact(self, rng, blosum62, default_gaps,
-                                      mini_database):
-        from repro.align import sw_score_database_dual
-
-        query = random_sequence(30, rng, seq_id="q")
-        exact = sw_score_database(
-            query, mini_database, blosum62, default_gaps
-        )
-        dual = sw_score_database_dual(
-            query, mini_database, blosum62, default_gaps
-        )
-        assert dual.scores.tolist() == exact.tolist()
-
-    def test_dual_precision_tiny_cap_still_exact(
-        self, rng, blosum62, default_gaps, mini_database
-    ):
-        """Force saturation everywhere: the re-run must restore
-        exactness."""
-        from repro.align import sw_score_database_dual
-
-        query = random_sequence(40, rng, seq_id="q")
-        exact = sw_score_database(
-            query, mini_database, blosum62, default_gaps
-        )
-        dual = sw_score_database_dual(
-            query, mini_database, blosum62, default_gaps, cap=15
-        )
-        assert dual.scores.tolist() == exact.tolist()
-        assert dual.overflow_fraction > 0.5
-
-    def test_dual_precision_flags_extreme_scores(self, blosum62,
-                                                 default_gaps):
-        from repro.align import sw_score_database_dual
-
-        huge = Sequence(id="w", residues="W" * 4000)
-        small = Sequence(id="s", residues="MKVLAW")
-        db = SequenceDatabase([huge, small])
-        result = sw_score_database_dual(huge, db, blosum62, default_gaps)
-        assert result.scores[0] == 4000 * 11
-        assert bool(result.overflowed[0]) is True
-        assert bool(result.overflowed[1]) is False
-
     def test_batch_returns_lane_order(self, blosum62, default_gaps, rng):
         db = SequenceDatabase(
             [random_sequence(n, rng, seq_id=f"d{n}") for n in (30, 10, 20)]

@@ -1,9 +1,8 @@
-"""Third property-based batch: dual precision, strands, translation,
-masking and formats."""
+"""Third property-based batch: strands, translation, masking and
+formats."""
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,18 +14,12 @@ from repro.align import (
     sw_score_scan,
 )
 from repro.align.dna import reverse_complement, sw_score_both_strands
-from repro.align.intersequence import (
-    sw_score_database,
-    sw_score_database_dual,
-)
-from repro.sequences import DNA, PROTEIN, Sequence, SequenceDatabase
+from repro.sequences import DNA, PROTEIN, Sequence
 from repro.sequences.complexity import mask_low_complexity
 from repro.sequences.translate import GENETIC_CODE, translate
 
 proteins = st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=1, max_size=20)
-protein_lists = st.lists(proteins, min_size=1, max_size=6)
 dna_strings = st.text(alphabet="ACGT", min_size=1, max_size=40)
-caps = st.integers(min_value=5, max_value=40_000)
 
 
 def pseq(residues: str, seq_id: str = "s") -> Sequence:
@@ -35,36 +28,6 @@ def pseq(residues: str, seq_id: str = "s") -> Sequence:
 
 def dseq(residues: str, seq_id: str = "s") -> Sequence:
     return Sequence(id=seq_id, residues=residues, alphabet=DNA)
-
-
-class TestDualPrecisionProperties:
-    @given(proteins, protein_lists, caps)
-    @settings(max_examples=40, deadline=None)
-    def test_any_cap_is_bit_exact(self, query, subjects, cap):
-        database = SequenceDatabase(
-            [pseq(s, f"d{i}") for i, s in enumerate(subjects)]
-        )
-        exact = sw_score_database(
-            pseq(query), database, BLOSUM62, DEFAULT_GAPS
-        )
-        dual = sw_score_database_dual(
-            pseq(query), database, BLOSUM62, DEFAULT_GAPS, cap=cap
-        )
-        assert dual.scores.tolist() == exact.tolist()
-
-    @given(proteins, protein_lists)
-    @settings(max_examples=30, deadline=None)
-    def test_overflow_flags_consistent(self, query, subjects):
-        database = SequenceDatabase(
-            [pseq(s, f"d{i}") for i, s in enumerate(subjects)]
-        )
-        dual = sw_score_database_dual(
-            pseq(query), database, BLOSUM62, DEFAULT_GAPS, cap=10
-        )
-        # Every unflagged score must be below the cap.
-        for score, overflowed in zip(dual.scores, dual.overflowed):
-            if not overflowed:
-                assert score < 10
 
 
 class TestStrandProperties:

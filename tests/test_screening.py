@@ -8,14 +8,16 @@ threshold only moves work between the two stages.  Hypothesis drives
 random workloads through the single- and multi-query drivers; targeted
 generators sit exactly on the 255 saturation boundary and on length-bin
 edges (a length exactly on a bucket boundary, empty buckets,
-single-sequence buckets).
+single-sequence buckets).  The lane sweep underneath both stages is
+checked on its own against the reference in its exact int64 and capped
+int32 modes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.align import (
@@ -32,6 +34,7 @@ from repro.align import (
     sw_screen_batch,
     sw_screen_batch_multi,
 )
+from repro.align.intersequence import _build_profile, _sweep, pack_database
 from repro.align.reference import _codes
 from repro.align.screening import (
     build_screen_multi_profile,
@@ -291,6 +294,84 @@ class TestSaturationBoundary:
         )
         np.testing.assert_array_equal(low_cap.scores, expected)
         assert low_cap.saturated[0] and low_cap.screened[0] == 10
+
+
+#: Matrices for the kernel property: BLOSUM62; a high match score so
+#: three matching residues cross the 255 cap; and an all-negative matrix,
+#: under which every local score is 0.
+KERNEL_MATRICES = {
+    "blosum62": BLOSUM62,
+    "match90": match_mismatch(90, -45, alphabet=PROTEIN),
+    "all_negative": match_mismatch(
+        -1, -2, alphabet=PROTEIN, wildcard_score=-1
+    ),
+}
+# A small alphabet makes matches, and so capped scores, common.
+kernel_residues = st.text(alphabet="ARNDWY", min_size=0, max_size=14)
+
+
+class TestLaneSweepKernel:
+    """The one lane sweep against the reference, in both of its modes.
+
+    int64 uncapped is the exact sweep: every (query, subject) score
+    equals the reference.  int32 capped at 255 is the screen: the score
+    is ``min(reference, 255)``, so a lane is saturated exactly when its
+    reference score reaches the cap and is exact otherwise.
+    """
+
+    @pytest.mark.parametrize("lanes", [1, 7])
+    @pytest.mark.parametrize("nq", [1, 3])
+    @pytest.mark.parametrize(
+        "dtype,cap", [(np.int64, None), (np.int32, SCREEN_CAP)],
+        ids=["int64", "int32-cap255"],
+    )
+    @given(
+        queries=st.lists(kernel_residues, min_size=3, max_size=3),
+        subjects=st.lists(kernel_residues, min_size=1, max_size=9),
+        gaps=gap_models,
+        matrix_name=st.sampled_from(sorted(KERNEL_MATRICES)),
+    )
+    # Two inputs no other suite has: an empty query (alone, and inside
+    # a stack), and a matrix under which every local score is 0.
+    @example(
+        queries=["", "WWWWWWW", "ARND"],
+        subjects=["WWWWWWWWW", "", "NDAR", "Y"],
+        gaps=affine_gap(10, 2),
+        matrix_name="match90",
+    )
+    @example(
+        queries=["WWWW", "ARNDWY", "A"],
+        subjects=["WWWW", "YWDNRA", "AAAAAA"],
+        gaps=affine_gap(1, 0),
+        matrix_name="all_negative",
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference(
+        self, dtype, cap, nq, lanes, queries, subjects, gaps, matrix_name
+    ):
+        queries = queries[:nq]
+        matrix = KERNEL_MATRICES[matrix_name]
+        profile = _build_profile(
+            [_codes(q, matrix) for q in queries], matrix, dtype
+        )
+        best = np.zeros((len(subjects), nq), dtype=np.int64)
+        for pack in pack_database(protein_db(subjects), matrix, lanes=lanes):
+            swept = _sweep(profile, pack.residues, gaps, cap)
+            assert swept.dtype == dtype
+            assert swept.shape == (pack.lanes, nq)
+            best[pack.order] = swept
+        expected = np.array(
+            [
+                [sw_score_reference(q, s, matrix, gaps) for q in queries]
+                for s in subjects
+            ],
+            dtype=np.int64,
+        )
+        if cap is not None:
+            expected = np.minimum(expected, cap)
+        np.testing.assert_array_equal(best, expected)
+        if matrix_name == "all_negative":
+            assert not best.any()
 
 
 class TestLengthBinnedPacking:

@@ -214,6 +214,32 @@ class TestOverload:
             server.stop()
             worker.join(timeout=10)
 
+    def test_loadgen_latency_excludes_rest_of_horizon(self, workload):
+        """Light load over a long horizon: latency is service time only.
+
+        One request takes tens of milliseconds here, so a latency near
+        the horizon can only come from timing an early request until the
+        client got round to polling it after the last arrival.
+        """
+        server = start_server(workload)
+        worker = start_worker(server, workload)
+        horizon = 3.0
+        try:
+            host, port = server.address
+            report = run_loadgen(
+                host, port, rate=4.0, horizon=horizon,
+                rng=np.random.default_rng(11),
+                min_length=30, max_length=40, wait_timeout=60.0,
+            )
+            assert report.completed == report.admitted >= 5
+            assert min(report.latencies) > 0.0
+            assert max(report.latencies) < horizon / 2
+        finally:
+            server.drain()
+            server.wait_drained(timeout=60)
+            server.stop()
+            worker.join(timeout=10)
+
 
 class TestDrainUnderLoad:
     def test_drain_finishes_inflight_sheds_new(self, workload):
