@@ -317,7 +317,7 @@ import numpy as np
 from repro.align import BLOSUM62, DEFAULT_GAPS
 from repro.cluster import run_cluster
 from repro.core import HybridRuntime, ScanEngine
-from repro.faults import CrashFault, FaultPlan
+from repro.faults import CrashFault, FaultPlan, StragglerFault
 from repro.sequences import query_set, random_database
 
 
@@ -331,7 +331,14 @@ def hits(results):
 rng = np.random.default_rng(7)
 queries = query_set(4, rng, min_length=20, max_length=40)
 database = random_database(16, 50.0, rng, name="chaosdb")
-plan = FaultPlan(seed=7, crashes=(CrashFault(pe_id="w1", after_tasks=1),))
+# A crash on w1 plus a straggling w0, with batch=2 in both environments:
+# the one slave loop's batched sweep, straggle dilation and cancel path
+# run under the same plan over an in-process link and over TCP.
+plan = FaultPlan(
+    seed=7,
+    crashes=(CrashFault(pe_id="w1", after_tasks=1),),
+    stragglers=(StragglerFault(pe_id="w0", factor=0.5),),
+)
 
 
 def engines():
@@ -341,25 +348,28 @@ def engines():
     }
 
 
-baseline = HybridRuntime(engines()).run(queries, database)
+baseline = HybridRuntime(engines(), batch=2).run(queries, database)
 faulted = HybridRuntime(
-    engines(), faults=plan, heartbeat_timeout=0.5
+    engines(), faults=plan, heartbeat_timeout=0.5, batch=2
 ).run(queries, database)
 assert hits(faulted.results) == hits(baseline.results)
 assert any(e["kind"] == "fault_crash" for e in faulted.events)
-print("threaded chaos OK: crash recovered, results identical")
+assert any(e["kind"] == "fault_straggle" for e in faulted.events)
+print("threaded chaos OK: crash + straggle recovered, results identical")
 
 workers = {"w0": "scan", "w1": "scan"}
 baseline = run_cluster(
-    queries, database, dict(workers), use_processes=False, timeout=60
+    queries, database, dict(workers), use_processes=False, timeout=60,
+    batch=2,
 )
 faulted = run_cluster(
     queries, database, dict(workers), use_processes=False, timeout=60,
-    heartbeat_timeout=0.5, faults=plan,
+    heartbeat_timeout=0.5, faults=plan, batch=2,
 )
 assert hits(faulted.results) == hits(baseline.results)
 assert any(e["kind"] == "fault_crash" for e in faulted.events)
-print("cluster chaos OK: crash recovered, results identical")
+assert any(e["kind"] == "fault_straggle" for e in faulted.events)
+print("cluster chaos OK: crash + straggle recovered, results identical")
 PY
 
 echo

@@ -9,13 +9,13 @@ protocol is debuggable with ``nc``.
 Message types (all carry ``type`` plus the listed fields):
 
 ==============  =====================================================
-``register``    pe_id [, attempt] [, protocol]  (attempt > 0 marks a
+``register``    pe_id, protocol [, attempt]  (attempt > 0 marks a
                 reconnecting worker's fresh incarnation; the master
                 retires the stale registration and re-queues its
-                tasks.  ``protocol`` is the worker's wire version —
-                absent means version 1, a pre-handshake worker; the
-                master rejects versions newer than its own with an
-                ``error`` reply instead of mis-parsing later frames)
+                tasks.  ``protocol`` is the worker's wire version; the
+                master refuses any other version — or none — with an
+                ``error`` reply and hangs up instead of mis-parsing
+                later frames)
 ``request``     pe_id
 ``assign``      tasks[], replicas[], done, wait,   (master -> slave)
                 spans{task_id: {trace, span, parent}} [, batch]
@@ -56,17 +56,13 @@ Client surface of the always-on service (protocol 4, master side of
 Service-admitted tasks reference queries no indexed file contains, so
 the ``assign`` reply gains an optional ``queries`` map
 (``{task_id: {id, residues}}``) carrying their residues inline;
-workers use it for any task whose ``query_index`` is negative.  The
-map is additive — v1..v3 workers still register and run preloaded
-workloads unchanged — but only v4 workers understand inline queries,
-so a service deployment needs a v4 fleet.
+workers use it for any task whose ``query_index`` is negative.
 
 The optional ``trace``/``span``/``parent`` fields carry the task's span
 context (see :mod:`repro.observability.spans`): the master allocates it
 when granting work, forwards it in the ``assign`` reply's ``spans``
 map, and slaves echo it on every message about that task so worker-side
-events join the same causal trace.  All span fields are optional —
-older slaves that ignore them still interoperate.
+events join the same causal trace.  All span fields are optional.
 
 Tasks travel as plain dicts mirroring :class:`repro.core.task.Task`;
 hits mirror :class:`repro.align.api.SearchHit`.  Slaves fetch the
@@ -105,25 +101,22 @@ __all__ = [
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 #: Current wire version.  Version history:
-#: 1 — the original Fig. 4 vocabulary (implicit; ``register`` carries
-#:     no ``protocol`` field);
+#: 1 — the original Fig. 4 vocabulary (``register`` carries no
+#:     ``protocol`` field);
 #: 2 — adds the ``protocol`` handshake on ``register``/``ack`` and the
 #:     store-backed warm-start deployment shape;
 #: 3 — adds the optional ``stats`` piggyback on ``progress`` and
 #:     ``complete`` (worker-side metric snapshots for fleet-wide
-#:     aggregation).  Purely additive: v1/v2 workers that never send
-#:     ``stats`` remain fully supported.
+#:     aggregation);
 #: 4 — adds the always-on service surface: ``submit``/``poll``/
 #:     ``cancel``/``drain`` from clients, ``accepted``/``rejected``/
 #:     ``status`` replies, and the inline ``queries`` map on ``assign``
-#:     for service-admitted tasks (``query_index < 0``).  Additive for
-#:     workers running preloaded workloads; executing service tasks
-#:     requires a v4 worker.
+#:     for service-admitted tasks (``query_index < 0``).
 PROTOCOL_VERSION = 4
 
-#: Oldest version the master still accepts.  All v1 messages are valid
-#: v2 messages, so pre-handshake workers keep interoperating.
-MIN_PROTOCOL_VERSION = 1
+#: Oldest version the master accepts: workers and master ship
+#: together, so the wire is pinned to the current version.
+MIN_PROTOCOL_VERSION = PROTOCOL_VERSION
 
 
 class ProtocolError(RuntimeError):
@@ -134,10 +127,14 @@ def check_protocol_version(message: dict[str, Any]) -> int:
     """Validate the ``protocol`` field of a ``register`` message.
 
     Returns the peer's version; raises :class:`ProtocolError` when the
-    field is malformed or outside the supported range.  An absent field
-    is a version-1 worker, which is always accepted.
+    field is absent, malformed or outside the supported range.
     """
-    raw = message.get("protocol", MIN_PROTOCOL_VERSION)
+    raw = message.get("protocol")
+    if raw is None:
+        raise ProtocolError(
+            f"register without a protocol version; this master speaks "
+            f"{MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}"
+        )
     try:
         version = int(raw)
     except (TypeError, ValueError):

@@ -21,7 +21,8 @@ from ..core.master import Master, TraceEvent
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
 from ..core.results import merge_hits
 from ..core.task import Task, TaskResult
-from ..durability import CheckpointStore, restore_into, workload_fingerprint
+from ..core.runtime import _SharedMaster
+from ..durability import CheckpointStore, open_master
 from ..observability import (
     EventLog,
     MetricsHTTPServer,
@@ -81,66 +82,38 @@ class _Handler(socketserver.StreamRequestHandler):
                     time.perf_counter() - started
                 )
 
-    @staticmethod
-    def _ensure_registered(server: "MasterServer", pe_id: str) -> None:
-        # Caller holds ``server.lock``.  A reaped worker that was only
-        # slow (or partitioned), not dead, keeps talking; re-admit it
-        # transparently instead of erroring its connection away.
-        if not server.master.is_registered(pe_id):
-            server.master.register(pe_id, server.clock())
-            server.cancel_flags.setdefault(pe_id, set())
-
     def _dispatch(self, server: "MasterServer", message: dict,
                   kind: object) -> bool:
         """Handle one message; False ends the connection."""
+        shared = server.shared
         if kind == "register":
-            pe_id = str(message["pe_id"])
-            attempt = int(message.get("attempt", 0))
             try:
                 check_protocol_version(message)
             except ProtocolError as exc:
-                # A worker from the future: refuse it at the handshake
-                # instead of mis-parsing its frames mid-run.
+                # A worker from another protocol generation: refuse it
+                # at the handshake instead of mis-parsing its frames.
                 server.inst.protocol_errors.inc()
                 send_message(
                     self.connection,
                     {"type": "error", "message": str(exc)},
                 )
                 return False
-            with server.lock:
-                if server.master.is_registered(pe_id):
-                    # A reconnecting worker's fresh incarnation: retire
-                    # the stale registration so its queued tasks go
-                    # back to READY before the new one starts pulling.
-                    server.master.deregister(
-                        pe_id, server.clock(), reason="reconnect"
-                    )
-                server.master.register(
-                    pe_id, server.clock(), attempt=attempt
-                )
-                server.cancel_flags[pe_id] = set()
-            send_message(
-                self.connection,
-                {
-                    "type": "ack",
-                    "cancel": [],
-                    # Echo the master's own version so a newer worker
-                    # can tell what it is talking to.
-                    "protocol": PROTOCOL_VERSION,
-                },
+            shared.register(
+                str(message["pe_id"]), server.clock(),
+                attempt=int(message.get("attempt", 0)),
             )
+            # Echo the master's own version so a newer worker can tell
+            # what it is talking to.
+            reply = {
+                "type": "ack", "cancel": [], "protocol": PROTOCOL_VERSION
+            }
         elif kind == "request":
             pe_id = str(message["pe_id"])
             with server.lock:
-                self._ensure_registered(server, pe_id)
                 # Refill the dispatch window first so an idle worker's
                 # poll can pick up freshly admitted work immediately.
-                server._service_tick_locked()
-                assignment = server.master.on_request(
-                    pe_id, server.clock()
-                )
-                cancel = sorted(server.cancel_flags.get(pe_id, ()))
-                server.cancel_flags.get(pe_id, set()).clear()
+                server._service_tick()
+                assignment, cancel = shared.request(pe_id, server.clock())
                 # Span contexts of the granted executions, forwarded so
                 # worker-side events join the same causal trace.
                 spans = {}
@@ -175,23 +148,16 @@ class _Handler(socketserver.StreamRequestHandler):
             }
             if inline:
                 reply["queries"] = inline
-            send_message(self.connection, reply)
         elif kind == "progress":
             pe_id = str(message["pe_id"])
             server.ingest_worker_stats(pe_id, message.get("stats"))
-            with server.lock:
-                self._ensure_registered(server, pe_id)
-                server.master.on_progress(
-                    pe_id,
-                    server.clock(),
-                    float(message["cells"]),
-                    float(message["interval"]),
-                )
-                cancel = sorted(server.cancel_flags.get(pe_id, ()))
-                server.cancel_flags.get(pe_id, set()).clear()
-            send_message(
-                self.connection, {"type": "ack", "cancel": cancel}
+            cancel = shared.progress(
+                pe_id,
+                server.clock(),
+                float(message["cells"]),
+                float(message["interval"]),
             )
+            reply = {"type": "ack", "cancel": cancel}
         elif kind == "complete":
             pe_id = str(message["pe_id"])
             server.ingest_worker_stats(pe_id, message.get("stats"))
@@ -204,32 +170,18 @@ class _Handler(socketserver.StreamRequestHandler):
                     decode_hit(h) for h in message.get("hits", [])
                 ),
             )
-            with server.lock:
-                self._ensure_registered(server, pe_id)
-                losers = server.master.on_complete(
-                    pe_id, result, server.clock()
-                )
-                for loser in losers:
-                    server.cancel_flags.setdefault(loser, set()).add(
-                        result.task_id
-                    )
-                # Finalize the service request this completion may have
-                # answered (and refill the window) without waiting for
-                # the next maintenance tick.
-                server._service_tick_locked()
-                cancel = sorted(server.cancel_flags.get(pe_id, ()))
-                server.cancel_flags.get(pe_id, set()).clear()
-            send_message(
-                self.connection, {"type": "ack", "cancel": cancel}
-            )
+            cancel = shared.complete(pe_id, result, server.clock())
+            # Finalize the service request this completion may have
+            # answered (and refill the window) without waiting for the
+            # next maintenance tick.
+            server._service_tick()
+            reply = {"type": "ack", "cancel": cancel}
         elif kind == "cancelled":
-            pe_id = str(message["pe_id"])
-            with server.lock:
-                self._ensure_registered(server, pe_id)
-                server.master.on_cancelled(
-                    pe_id, int(message["task_id"]), server.clock()
-                )
-            send_message(self.connection, {"type": "ack", "cancel": []})
+            cancel = shared.cancelled(
+                str(message["pe_id"]), int(message["task_id"]),
+                server.clock(),
+            )
+            reply = {"type": "ack", "cancel": cancel}
         elif kind in ("submit", "poll", "cancel", "drain"):
             if server.service is None:
                 send_message(
@@ -249,6 +201,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 {"type": "error", "message": f"unknown type {kind!r}"},
             )
             return False
+        send_message(self.connection, reply)
         return True
 
     def _dispatch_service(self, server: "MasterServer", message: dict,
@@ -328,8 +281,9 @@ class _Handler(socketserver.StreamRequestHandler):
                          "message": f"unknown request {request_id!r}"},
                     )
                     return True
-                actions = service.cancel(request_id, server.clock())
-                server._apply_service_actions(actions)
+                server._apply_service_actions(
+                    service.cancel(request_id, server.clock())
+                )
                 reply = service.requests[request_id].to_dict()
             reply["type"] = "status"
             reply["hits"] = None
@@ -396,34 +350,7 @@ class MasterServer(socketserver.ThreadingTCPServer):
                 "(recover from disk), not both"
             )
         self._store: CheckpointStore | None = None
-        if checkpoint is not None:
-            # Master-restart-from-disk: open (or resume) the journal and
-            # restore every durable winning result before any worker
-            # connects.  A server killed mid-run and restarted with the
-            # same checkpoint directory keeps only the remaining tasks.
-            store = (
-                checkpoint
-                if isinstance(checkpoint, CheckpointStore)
-                else CheckpointStore(checkpoint)
-            )
-            recovered = store.open(workload_fingerprint(list(tasks)))
-            self._store = store
-            self._recovered = recovered
-            self.metrics = MetricsRegistry()
-            self.events = EventLog()
-            self.master = Master(
-                list(tasks),
-                policy=policy or PackageWeightedSelfScheduling(),
-                adjustment=adjustment,
-                omega=omega,
-                metrics=self.metrics,
-                events=self.events,
-                journal=store,
-                batch=batch,
-            )
-            if not recovered.empty:
-                restore_into(self.master, recovered, now=0.0)
-        elif master is not None:
+        if master is not None:
             # Adopt an existing master (and its metrics/event history):
             # the master-restart story — a new server process picks up
             # the workload where the crashed one left off, and
@@ -432,10 +359,16 @@ class MasterServer(socketserver.ThreadingTCPServer):
             self.metrics = master.metrics
             self.events = master.events
         else:
+            # With checkpoint=: master-restart-from-disk.  Open (or
+            # resume) the journal and restore every durable winning
+            # result before any worker connects, so a server killed
+            # mid-run and restarted on the same directory keeps only
+            # the remaining tasks.
             self.metrics = MetricsRegistry()
             self.events = EventLog()
-            self.master = Master(
-                list(tasks),
+            self.master, self._store, self._recovered = open_master(
+                tasks,
+                checkpoint,
                 policy=policy or PackageWeightedSelfScheduling(),
                 adjustment=adjustment,
                 omega=omega,
@@ -444,8 +377,10 @@ class MasterServer(socketserver.ThreadingTCPServer):
                 batch=batch,
             )
         self.inst = cluster_server_instruments(self.metrics)
-        self.lock = threading.Lock()
-        self.cancel_flags: dict[str, set[int]] = {}
+        #: The one master facade every handler goes through; its
+        #: (re-entrant) lock serialises all master and service state.
+        self.shared = _SharedMaster(self.master)
+        self.lock = self.shared.lock
         #: Always-on service front door (protocol 4).  ``service=True``
         #: uses default :class:`ServiceConfig`; a config instance
         #: customizes admission policy.  Composes with ``checkpoint=``:
@@ -579,14 +514,8 @@ class MasterServer(socketserver.ThreadingTCPServer):
     def _reap_loop(self) -> None:
         assert self.heartbeat_timeout is not None
         poll = max(self.heartbeat_timeout / 4, 0.01)
-        while not self._stopping.wait(poll):
-            with self.lock:
-                if self.master.finished:
-                    return
-                if self.master.num_pes:
-                    self.master.reap_silent(
-                        self.clock(), self.heartbeat_timeout
-                    )
+        while not self._stopping.wait(poll) and not self.finished:
+            self.shared.reap(self.clock(), self.heartbeat_timeout)
 
     def _service_loop(self) -> None:
         """Maintenance ticks: expiry, refill, drain detection.
@@ -596,24 +525,20 @@ class MasterServer(socketserver.ThreadingTCPServer):
         worker busy while a queued request's deadline passes).
         """
         while not self._stopping.wait(_SERVICE_TICK_SECONDS):
-            with self.lock:
-                self._service_tick_locked()
-                if self.service is not None and self.service.drained:
-                    return
+            self._service_tick()
+            if self.service is not None and self.service.drained:
+                return
 
-    def _service_tick_locked(self) -> None:
-        """Caller holds ``self.lock``."""
-        if self.service is None:
-            return
-        actions = self.service.tick(self.clock())
-        self._apply_service_actions(actions)
+    def _service_tick(self) -> None:
+        if self.service is not None:
+            with self.lock:
+                self._apply_service_actions(self.service.tick(self.clock()))
 
     def _apply_service_actions(self, actions: TickActions) -> None:
-        """Caller holds ``self.lock``."""
-        for pe_id, task_id in actions.cancels:
-            self.cancel_flags.setdefault(pe_id, set()).add(task_id)
-        for task_id in actions.retired:
-            self.inline_queries.pop(task_id, None)
+        with self.lock:
+            self.shared.add_cancels(actions.cancels)
+            for task_id in actions.retired:
+                self.inline_queries.pop(task_id, None)
 
     # Track live slave connections so ``stop`` can sever them: daemon
     # handler threads otherwise keep serving a "stopped" master, which
@@ -659,8 +584,7 @@ class MasterServer(socketserver.ThreadingTCPServer):
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        with self.lock:
-            return self.master.finished
+        return self.shared.finished
 
     def wait_finished(self, timeout: float = 120.0, poll: float = 0.01) -> None:
         """Block until every task is finished (or raise on timeout).
@@ -703,7 +627,7 @@ class MasterServer(socketserver.ThreadingTCPServer):
             raise RuntimeError("this master does not run a service")
         with self.lock:
             outstanding = self.service.drain(self.clock())
-            self._service_tick_locked()
+            self._service_tick()
         return outstanding
 
     def wait_drained(self, timeout: float = 120.0, poll: float = 0.01) -> None:

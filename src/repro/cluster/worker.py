@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 from ..align.gaps import affine_gap
 from ..align.scoring import get_matrix
-from ..core.engines import ChunkProgress, Engine, InterSequenceEngine, ScanEngine, StripedSSEEngine
-from ..core.task import Task, TaskBatch, group_into_batches
-from ..faults import FaultInjector, FaultPlan, InjectedCrash
+from ..core.engines import Engine, InterSequenceEngine, ScanEngine, StripedSSEEngine
+from ..core.master import Assignment
+from ..core.slave import serve
+from ..core.task import Task
+from ..faults import FaultInjector, FaultPlan
 from ..observability import (
     EventLog,
     MetricsRegistry,
@@ -141,7 +143,6 @@ class _Link:
         io_timeout: float = 60.0,
         cancelled: set[int] | None = None,
         spans: dict[int, dict] | None = None,
-        inline_queries: "dict[int, Sequence] | None" = None,
     ):
         self._sock = socket.create_connection(
             (host, port), timeout=connect_timeout
@@ -155,11 +156,6 @@ class _Link:
         #: Span context of each granted task, from the assign reply's
         #: ``spans`` map; echoed back on progress/complete/cancelled.
         self.spans: dict[int, dict] = {} if spans is None else spans
-        #: Inline query sequences of service-admitted tasks (protocol
-        #: 4 ``queries`` map on assign), keyed by task id.
-        self.inline_queries: dict[int, Sequence] = (
-            {} if inline_queries is None else inline_queries
-        )
         self._observe = observe
 
     def send_raw(self, payload: bytes) -> None:
@@ -273,7 +269,6 @@ class ResilientLink:
         self._stats = stats
         self.cancelled: set[int] = set()
         self.spans: dict[int, dict] = {}
-        self.inline_queries: dict[int, Sequence] = {}
         #: Incarnation counter sent with ``register``; bumped on every
         #: successful (re-)connect so the master can tell a reconnect
         #: from a duplicate.
@@ -296,7 +291,6 @@ class ResilientLink:
                     io_timeout=config.io_timeout,
                     cancelled=self.cancelled,
                     spans=self.spans,
-                    inline_queries=self.inline_queries,
                 )
                 message: dict = {
                     "type": "register",
@@ -436,21 +430,6 @@ def run_worker(
             pe=config.pe_id, type=message_type
         ).observe(seconds)
 
-    completed = 0
-
-    def check_crash() -> None:
-        if injector is not None and injector.crash_due(
-            config.pe_id, clock(), completed
-        ):
-            injector.mark_crashed(config.pe_id, clock())
-            raise InjectedCrash(config.pe_id)
-
-    def straggle(elapsed: float) -> None:
-        if injector is not None:
-            pause = injector.straggle_sleep(config.pe_id, clock(), elapsed)
-            if pause > 0:
-                time.sleep(pause)
-
     with IndexedReader(config.query_path, alphabet=matrix.alphabet) as queries:
         database = SequenceDatabase.from_indexed(
             config.database_path, alphabet=matrix.alphabet
@@ -465,264 +444,111 @@ def run_worker(
         )
         try:
             link.connect()
-            while True:
-                check_crash()
-                reply = link.call({"type": "request", "pe_id": config.pe_id})
-                if reply.get("done"):
-                    return completed
-                if reply.get("wait"):
-                    time.sleep(_WAIT_SECONDS)
-                    continue
-                tasks = [decode_task(t) for t in reply.get("tasks", [])]
-                replicas = [
-                    decode_task(t) for t in reply.get("replicas", [])
-                ]
-                # Inline residues of service-admitted tasks (protocol
-                # 4): decoded with the engine's alphabet so scoring is
-                # identical to an indexed-file fetch.
-                for task_id, data in (reply.get("queries") or {}).items():
-                    link.inline_queries[int(task_id)] = Sequence(
-                        id=str(data["id"]),
-                        residues=str(data["residues"]),
-                        alphabet=matrix.alphabet,
-                    )
-                for task in (*tasks, *replicas):
-                    # A task released after a reap can be re-granted to
-                    # this same worker; a stale cancel flag from its
-                    # previous incarnation must not kill the rerun.
-                    link.cancelled.discard(task.task_id)
-                width = int(reply.get("batch", config.batch) or 1)
-                if width > 1 and len(tasks) > 1:
-                    for group in group_into_batches(tasks, width):
-                        if len(group) == 1:
-                            completed += _execute(
-                                link, engine, config, queries, database,
-                                group.tasks[0], events, clock,
-                                check_crash=check_crash, straggle=straggle,
-                            )
-                        else:
-                            completed += _execute_batch(
-                                link, engine, config, queries, database,
-                                group, events, clock,
-                                check_crash=check_crash, straggle=straggle,
-                            )
-                else:
-                    for task in tasks:
-                        completed += _execute(
-                            link, engine, config, queries, database, task,
-                            events, clock,
-                            check_crash=check_crash, straggle=straggle,
-                        )
-                # Replicas always run singly: each races another PE's
-                # in-flight copy of the same task.
-                for task in replicas:
-                    completed += _execute(
-                        link, engine, config, queries, database, task,
-                        events, clock,
-                        check_crash=check_crash, straggle=straggle,
-                    )
+            wire = _WireLink(
+                link, config, queries, matrix.alphabet, events, clock
+            )
+            return serve(
+                wire, engine, [database], clock=clock, injector=injector
+            )
         finally:
             link.close()
 
 
-def _resolve_query(
-    link: "_Link | ResilientLink", queries: IndexedReader, task: Task
-) -> Sequence:
-    """The task's query: indexed file, or inline for service tasks."""
-    if task.query_index >= 0:
-        return queries[task.query_index]
-    query = link.inline_queries.get(task.task_id)
-    if query is None:
-        raise ProtocolError(
-            f"task {task.task_id} has no query_index and the master "
-            "sent no inline query (protocol 4 required)"
-        )
-    return query
+class _WireLink:
+    """The slave loop's link over TCP (see :mod:`repro.core.slave`).
 
+    Encodes each notification as a wire message carrying the task's
+    span context, decodes ``assign`` replies (inline queries of
+    service-admitted tasks included) and, given an event log, records
+    ``worker_task_start``/``worker_task_end`` on the master's timeline.
+    """
 
-def _execute(
-    link: "_Link | ResilientLink",
-    engine: Engine,
-    config: WorkerConfig,
-    queries: IndexedReader,
-    database: SequenceDatabase,
-    task: Task,
-    events: EventLog | None = None,
-    clock=time.perf_counter,
-    check_crash=None,
-    straggle=None,
-) -> int:
-    query = _resolve_query(link, queries, task)
-    span = link.spans.get(task.task_id, {})
-    if events is not None:
-        events.emit(
-            "worker_task_start", clock(),
-            pe=config.pe_id, task=task.task_id, **span,
-        )
-    started = time.perf_counter()
-    last = started
+    idle_seconds = _WAIT_SECONDS
 
-    def progress(chunk: ChunkProgress) -> bool:
-        nonlocal last
-        if check_crash is not None:
-            check_crash()
-        if straggle is not None:
-            # Dilate the observed chunk time so the master's rate
-            # estimator sees the straggling for real.
-            straggle(time.perf_counter() - last)
-        now = time.perf_counter()
-        link.call(
-            {
-                "type": "progress",
-                "pe_id": config.pe_id,
-                "cells": chunk.cells,
-                "interval": max(now - last, 1e-9),
-                **span,
-            }
-        )
-        last = now
-        return task.task_id not in link.cancelled
+    def __init__(
+        self,
+        link: ResilientLink,
+        config: WorkerConfig,
+        queries: IndexedReader,
+        alphabet,
+        events: EventLog | None,
+        clock,
+    ):
+        self.pe_id = config.pe_id
+        self.cancels = link.cancelled
+        self._link = link
+        self._batch = config.batch
+        self._queries = queries
+        self._alphabet = alphabet
+        self._events = events
+        self._clock = clock
+        #: Inline query sequences of service-admitted tasks (protocol
+        #: 4 ``queries`` map on assign), keyed by task id.
+        self._inline: dict[int, Sequence] = {}
 
-    hits = engine.search(query, database, progress=progress)
-    link.inline_queries.pop(task.task_id, None)
-    if hits is None:  # cancelled mid-task
-        link.cancelled.discard(task.task_id)
-        link.spans.pop(task.task_id, None)
-        link.call(
-            {
-                "type": "cancelled",
-                "pe_id": config.pe_id,
-                "task_id": task.task_id,
-                **span,
-            }
-        )
-        if events is not None:
-            events.emit(
-                "worker_task_end", clock(),
-                pe=config.pe_id, task=task.task_id,
-                outcome="cancelled", **span,
+    def request(self) -> tuple[Assignment, int]:
+        reply = self._link.call({"type": "request", "pe_id": self.pe_id})
+        # Decoded with the engine's alphabet so scoring is identical to
+        # an indexed-file fetch.
+        for task_id, data in (reply.get("queries") or {}).items():
+            self._inline[int(task_id)] = Sequence(
+                id=str(data["id"]),
+                residues=str(data["residues"]),
+                alphabet=self._alphabet,
             )
-        return 0
-    link.spans.pop(task.task_id, None)
-    link.call(
-        {
-            "type": "complete",
-            "pe_id": config.pe_id,
-            "task_id": task.task_id,
-            "elapsed": max(time.perf_counter() - started, 1e-9),
+        assignment = Assignment(
+            tasks=tuple(decode_task(t) for t in reply.get("tasks", [])),
+            replicas=tuple(
+                decode_task(t) for t in reply.get("replicas", [])
+            ),
+            done=bool(reply.get("done")),
+        )
+        return assignment, int(reply.get("batch", self._batch) or 1)
+
+    def query(self, task: Task) -> Sequence:
+        """The task's query: indexed file, or inline for service tasks."""
+        if task.query_index >= 0:
+            query = self._queries[task.query_index]
+        else:
+            query = self._inline.get(task.task_id)
+            if query is None:
+                raise ProtocolError(
+                    f"task {task.task_id} has no query_index and the "
+                    "master sent no inline query (protocol 4 required)"
+                )
+        if self._events is not None:
+            self._events.emit(
+                "worker_task_start", self._clock(), pe=self.pe_id,
+                task=task.task_id, **self._link.spans.get(task.task_id, {}),
+            )
+        return query
+
+    def progress(self, task: Task, cells: float, interval: float) -> None:
+        span = self._link.spans.get(task.task_id, {})
+        self._link.call({
+            "type": "progress", "pe_id": self.pe_id,
+            "cells": cells, "interval": interval, **span,
+        })
+
+    def _finish(self, task: Task, outcome: str, message: dict) -> None:
+        self._inline.pop(task.task_id, None)
+        span = self._link.spans.pop(task.task_id, {})
+        self._link.call({
+            "type": outcome, "pe_id": self.pe_id,
+            "task_id": task.task_id, **message, **span,
+        })
+        if self._events is not None:
+            self._events.emit(
+                "worker_task_end", self._clock(), pe=self.pe_id,
+                task=task.task_id, outcome=outcome, **span,
+            )
+
+    def complete(self, task: Task, hits, elapsed: float) -> None:
+        self._finish(task, "complete", {
+            "elapsed": elapsed,
             "cells": task.cells,
             "hits": [encode_hit(h) for h in hits],
-            **span,
-        }
-    )
-    if events is not None:
-        events.emit(
-            "worker_task_end", clock(),
-            pe=config.pe_id, task=task.task_id,
-            outcome="complete", **span,
-        )
-    return 1
+        })
 
-
-def _execute_batch(
-    link: "_Link | ResilientLink",
-    engine: Engine,
-    config: WorkerConfig,
-    queries: IndexedReader,
-    database: SequenceDatabase,
-    group: TaskBatch,
-    events: EventLog | None = None,
-    clock=time.perf_counter,
-    check_crash=None,
-    straggle=None,
-) -> int:
-    """One multi-query sweep over *group*, fanned out per task.
-
-    Every member still produces its own ``progress`` stream and its own
-    ``complete``/``cancelled`` message (with that task's span context),
-    so the master observes the exact singleton protocol; only the
-    engine call is shared.  The sweep's wall-clock time is apportioned
-    to members by cell share.  Returns the number completed.
-    """
-    tasks = group.tasks
-    query_records = [_resolve_query(link, queries, t) for t in tasks]
-    spans = {t.task_id: link.spans.get(t.task_id, {}) for t in tasks}
-    if events is not None:
-        for task in tasks:
-            events.emit(
-                "worker_task_start", clock(),
-                pe=config.pe_id, task=task.task_id,
-                **spans[task.task_id],
-            )
-    started = time.perf_counter()
-    state = {"last": started}
-
-    def progress(position: int, chunk: ChunkProgress) -> bool:
-        if check_crash is not None:
-            check_crash()
-        if straggle is not None:
-            straggle(time.perf_counter() - state["last"])
-        now = time.perf_counter()
-        task = tasks[position]
-        link.call(
-            {
-                "type": "progress",
-                "pe_id": config.pe_id,
-                "cells": chunk.cells,
-                "interval": max(now - state["last"], 1e-9),
-                **spans[task.task_id],
-            }
-        )
-        state["last"] = now
-        return task.task_id not in link.cancelled
-
-    def cancelled(position: int) -> bool:
-        return tasks[position].task_id in link.cancelled
-
-    hit_lists = engine.search_batch(
-        query_records, database, progress=progress, cancelled=cancelled
-    )
-    total_elapsed = max(time.perf_counter() - started, 1e-9)
-    total_cells = group.cells
-    done = 0
-    for task, hits in zip(tasks, hit_lists):
-        span = spans[task.task_id]
-        link.spans.pop(task.task_id, None)
-        link.inline_queries.pop(task.task_id, None)
-        if hits is None:  # cancelled mid-sweep
-            link.cancelled.discard(task.task_id)
-            link.call(
-                {
-                    "type": "cancelled",
-                    "pe_id": config.pe_id,
-                    "task_id": task.task_id,
-                    **span,
-                }
-            )
-            if events is not None:
-                events.emit(
-                    "worker_task_end", clock(),
-                    pe=config.pe_id, task=task.task_id,
-                    outcome="cancelled", **span,
-                )
-            continue
-        share = task.cells / total_cells if total_cells else 1.0
-        link.call(
-            {
-                "type": "complete",
-                "pe_id": config.pe_id,
-                "task_id": task.task_id,
-                "elapsed": max(total_elapsed * share, 1e-9),
-                "cells": task.cells,
-                "hits": [encode_hit(h) for h in hits],
-                **span,
-            }
-        )
-        if events is not None:
-            events.emit(
-                "worker_task_end", clock(),
-                pe=config.pe_id, task=task.task_id,
-                outcome="complete", **span,
-            )
-        done += 1
-    return done
+    def cancelled(self, task: Task) -> None:
+        self._finish(task, "cancelled", {})

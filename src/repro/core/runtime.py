@@ -19,16 +19,17 @@ import time
 from dataclasses import dataclass, field
 
 from ..align.api import SearchHit
-from ..durability import CheckpointStore, restore_into, workload_fingerprint
+from ..durability import open_master
 from ..faults import FaultInjector, FaultPlan, InjectedCrash, MasterCrashed
 from ..observability import EventLog, MetricsRegistry, finalize_run_metrics
 from ..sequences.database import SequenceDatabase
 from ..sequences.records import Sequence
-from .engines import ChunkProgress, Engine
+from .engines import Engine
 from .master import Assignment, Master, TraceEvent
 from .policies import AllocationPolicy, PackageWeightedSelfScheduling
 from .results import merge_hits, offset_hits
-from .task import Task, TaskBatch, TaskResult, group_into_batches
+from .slave import serve
+from .task import Task, TaskResult
 
 __all__ = ["RunReport", "HybridRuntime", "build_tasks"]
 
@@ -94,7 +95,23 @@ class RunReport:
 
 
 class _SharedMaster:
-    """Lock-guarded facade over :class:`Master` (the 'network').
+    """Lock-guarded facade over :class:`Master`: the master side of Fig. 4.
+
+    All real-environment slave traffic goes through one of these (the
+    lock plays the role of the network): the threaded runtime and
+    service call it in process, the TCP server calls it per decoded
+    frame.  Besides serialising access it owns two protocol rules:
+
+    * a PE the master reaped while it was still alive simply rejoins on
+      its next contact, under the next attempt id (its released tasks
+      are already back in the ready queue);
+    * per-PE pending cancellations — losers of a replica race and
+      service cancels/expiries (:meth:`add_cancels`) — are handed to
+      the PE on its next call, exactly as the wire ``ack``/``assign``
+      replies carry them.
+
+    The lock is re-entrant so callers can bracket several facade calls
+    (plus their own bookkeeping) in one critical section.
 
     ``crash_at`` arms the plan's master-crash fault: once the clock
     passes it, every interaction with the master raises
@@ -109,9 +126,10 @@ class _SharedMaster:
         crash_at: float | None = None,
         injector: FaultInjector | None = None,
     ):
-        self._master = master
-        self._lock = threading.Lock()
+        self.master = master
+        self.lock = threading.RLock()
         self._attempts: dict[str, int] = {}
+        self._cancels: dict[str, set[int]] = {}
         self._crash_at = crash_at
         self._injector = injector
         self.crashed = False
@@ -127,67 +145,82 @@ class _SharedMaster:
         if self.crashed:
             raise MasterCrashed(self._crash_at)
 
-    def _ensure(self, pe_id: str, now: float) -> None:
-        """Re-register a PE the master reaped while it was still alive.
-
-        Caller holds the lock.  Mirrors the cluster server: a slave
-        that was deregistered (heartbeat reap) but keeps talking simply
-        rejoins under a fresh attempt id; its released tasks are
-        already back in the ready queue.
-        """
-        if not self._master.is_registered(pe_id):
+    def _contact(self, pe_id: str, now: float) -> None:
+        """Crash check + re-register-on-contact.  Caller holds the lock."""
+        self._check_crash(now)
+        if not self.master.is_registered(pe_id):
             attempt = self._attempts.get(pe_id, 0) + 1
             self._attempts[pe_id] = attempt
-            self._master.register(pe_id, now, attempt=attempt)
+            self.master.register(pe_id, now, attempt=attempt)
 
-    def register(self, pe_id: str, now: float):
-        with self._lock:
-            self._master.register(pe_id, now)
+    def _handover(self, pe_id: str) -> list[int]:
+        """Pop the PE's pending cancellations.  Caller holds the lock."""
+        pending = self._cancels.pop(pe_id, None)
+        return sorted(pending) if pending else []
 
-    def request(self, pe_id: str, now: float):
-        with self._lock:
+    def crash(self) -> None:
+        """Fire the master-crash fault now (hard-kill simulation)."""
+        with self.lock:
+            self._crash_at = -1.0
+            self.crashed = True
+
+    def register(self, pe_id: str, now: float, attempt: int = 0) -> None:
+        """(Re-)register a PE; a live registration is a stale incarnation.
+
+        The stale one is retired first, so its queued tasks go back to
+        READY before the new incarnation starts pulling.
+        """
+        with self.lock:
+            if self.master.is_registered(pe_id):
+                self.master.deregister(pe_id, now, reason="reconnect")
+            self._attempts[pe_id] = attempt
+            self._cancels.pop(pe_id, None)
+            self.master.register(pe_id, now, attempt=attempt)
+
+    def add_cancels(self, cancels) -> None:
+        """Queue ``(pe_id, task_id)`` cancellations for delivery."""
+        with self.lock:
+            for pe_id, task_id in cancels:
+                self._cancels.setdefault(pe_id, set()).add(task_id)
+
+    def request(self, pe_id: str, now: float) -> tuple[Assignment, list[int]]:
+        with self.lock:
+            self._contact(pe_id, now)
+            return self.master.on_request(pe_id, now), self._handover(pe_id)
+
+    def progress(
+        self, pe_id: str, now: float, cells: float, interval: float
+    ) -> list[int]:
+        with self.lock:
+            self._contact(pe_id, now)
+            self.master.on_progress(pe_id, now, cells, interval)
+            return self._handover(pe_id)
+
+    def complete(
+        self, pe_id: str, result: TaskResult, now: float
+    ) -> list[int]:
+        with self.lock:
+            self._contact(pe_id, now)
+            losers = self.master.on_complete(pe_id, result, now)
+            self.add_cancels((loser, result.task_id) for loser in losers)
+            return self._handover(pe_id)
+
+    def cancelled(self, pe_id: str, task_id: int, now: float) -> list[int]:
+        with self.lock:
+            self._contact(pe_id, now)
+            self.master.on_cancelled(pe_id, task_id, now)
+            return self._handover(pe_id)
+
+    def reap(self, now: float, timeout: float) -> None:
+        with self.lock:
             self._check_crash(now)
-            self._ensure(pe_id, now)
-            return self._master.on_request(pe_id, now)
-
-    def progress(self, pe_id: str, now: float, cells: float, interval: float):
-        with self._lock:
-            self._check_crash(now)
-            self._ensure(pe_id, now)
-            self._master.on_progress(pe_id, now, cells, interval)
-
-    def complete(self, pe_id: str, result: TaskResult, now: float):
-        with self._lock:
-            self._check_crash(now)
-            self._ensure(pe_id, now)
-            return self._master.on_complete(pe_id, result, now)
-
-    def cancelled(self, pe_id: str, task_id: int, now: float):
-        with self._lock:
-            self._check_crash(now)
-            self._ensure(pe_id, now)
-            self._master.on_cancelled(pe_id, task_id, now)
-
-    def reap(self, now: float, timeout: float) -> tuple[str, ...]:
-        with self._lock:
-            self._check_crash(now)
-            if self._master.finished:
-                return ()
-            return self._master.reap_silent(now, timeout)
+            if not self.master.finished:
+                self.master.reap_silent(now, timeout)
 
     @property
     def finished(self) -> bool:
-        with self._lock:
-            return self._master.finished
-
-    def with_lock(self, fn):
-        """Run ``fn(master)`` under the master lock.
-
-        The always-on service front-end uses this for admission and
-        deadline ticks, which must not interleave with slave traffic.
-        """
-        with self._lock:
-            return fn(self._master)
+        with self.lock:
+            return self.master.finished
 
 
 class _FaultyChannel:
@@ -207,44 +240,43 @@ class _FaultyChannel:
         self._injector = injector
         self._clock = clock
 
-    def register(self, pe_id: str, now: float):
-        self._shared.register(pe_id, now)
-
     def request(self, pe_id: str, now: float):
         if self._injector.partition_remaining(pe_id, now) > 0:
             time.sleep(_WAIT_POLL_SECONDS)
-            return Assignment()
+            return Assignment(), []
         action = self._injector.message_action(
             pe_id, "request", now, allow=("drop", "delay")
         )
         if action == "drop":
-            return Assignment()  # lost poll: the worker asks again
+            return Assignment(), []  # lost poll: the worker asks again
         if action == "delay":
             time.sleep(self._injector.delay_seconds)
         return self._shared.request(pe_id, self._clock())
 
     def progress(self, pe_id: str, now: float, cells: float, interval: float):
         if self._injector.partition_remaining(pe_id, now) > 0:
-            return  # sample lost in the partition
+            return []  # sample lost in the partition
         action = self._injector.message_action(
             pe_id, "progress", now, allow=("drop", "duplicate", "delay")
         )
         if action == "drop":
-            return
+            return []
         if action == "delay":
             time.sleep(self._injector.delay_seconds)
             now = self._clock()
-        self._shared.progress(pe_id, now, cells, interval)
+        cancels = self._shared.progress(pe_id, now, cells, interval)
         if action == "duplicate":
-            self._shared.progress(pe_id, now, cells, interval)
+            cancels += self._shared.progress(pe_id, now, cells, interval)
+        return cancels
 
-    def complete(self, pe_id: str, result: TaskResult, now: float):
+    def _must_deliver(self, pe_id: str, kind: str, now: float, send):
+        """Deliver ``send(now)`` at least once, through partitions/drops."""
         wait = self._injector.partition_remaining(pe_id, now)
         if wait > 0:
             time.sleep(wait)
             now = self._clock()
         action = self._injector.message_action(
-            pe_id, "complete", now, allow=("drop", "duplicate", "delay")
+            pe_id, kind, now, allow=("drop", "duplicate", "delay")
         )
         if action == "drop":
             time.sleep(_RETRANSMIT_SECONDS)  # retransmission pause
@@ -252,211 +284,109 @@ class _FaultyChannel:
         elif action == "delay":
             time.sleep(self._injector.delay_seconds)
             now = self._clock()
-        losers = self._shared.complete(pe_id, result, now)
+        cancels = send(now)
         if action == "duplicate":
             # The duplicate is stale by definition; the master dedupes.
-            self._shared.complete(pe_id, result, self._clock())
-        return losers
+            cancels += send(self._clock())
+        return cancels
+
+    def complete(self, pe_id: str, result: TaskResult, now: float):
+        return self._must_deliver(
+            pe_id, "complete", now,
+            lambda t: self._shared.complete(pe_id, result, t),
+        )
 
     def cancelled(self, pe_id: str, task_id: int, now: float):
-        wait = self._injector.partition_remaining(pe_id, now)
-        if wait > 0:
-            time.sleep(wait)
-            now = self._clock()
-        action = self._injector.message_action(
-            pe_id, "cancelled", now, allow=("drop", "duplicate", "delay")
+        return self._must_deliver(
+            pe_id, "cancelled", now,
+            lambda t: self._shared.cancelled(pe_id, task_id, t),
         )
-        if action == "drop":
-            time.sleep(_RETRANSMIT_SECONDS)
-            now = self._clock()
-        elif action == "delay":
-            time.sleep(self._injector.delay_seconds)
-            now = self._clock()
-        self._shared.cancelled(pe_id, task_id, now)
-        if action == "duplicate":
-            self._shared.cancelled(pe_id, task_id, self._clock())
 
 
-class _Worker(threading.Thread):
-    """One slave PE: request -> execute -> notify, until done."""
+class _LocalLink:
+    """One worker thread's link to the in-process master (see ``slave``).
+
+    Applies the chunk offsets (engines rank hits within their chunk;
+    the master merges database-wide indices) and counts completions.
+    """
+
+    idle_seconds = _WAIT_POLL_SECONDS
 
     def __init__(
         self,
         pe_id: str,
-        engine: Engine,
-        shared: _SharedMaster,
+        channel: "_SharedMaster | _FaultyChannel",
         queries: list[Sequence],
-        chunks: list[SequenceDatabase],
         chunk_offsets: list[int],
-        cancel_flags: dict[str, set[int]],
-        cancel_lock: threading.Lock,
+        batch: int,
+        clock,
+    ):
+        self.pe_id = pe_id
+        self.cancels: set[int] = set()
+        self.tasks_done = 0
+        self._channel = channel
+        self._queries = queries
+        self._offsets = chunk_offsets
+        self._batch = batch
+        self._clock = clock
+
+    def request(self) -> tuple[Assignment, int]:
+        assignment, cancels = self._channel.request(self.pe_id, self._clock())
+        self.cancels.update(cancels)
+        return assignment, self._batch
+
+    def query(self, task: Task) -> Sequence:
+        return self._queries[task.query_index]
+
+    def progress(self, task: Task, cells: float, interval: float) -> None:
+        self.cancels.update(
+            self._channel.progress(self.pe_id, self._clock(), cells, interval)
+        )
+
+    def complete(self, task: Task, hits, elapsed: float) -> None:
+        result = TaskResult(
+            task_id=task.task_id,
+            pe_id=self.pe_id,
+            elapsed=elapsed,
+            cells=task.cells,
+            payload=offset_hits(hits, self._offsets[task.chunk_index]),
+        )
+        self.cancels.update(
+            self._channel.complete(self.pe_id, result, self._clock())
+        )
+        self.tasks_done += 1
+
+    def cancelled(self, task: Task) -> None:
+        self.cancels.update(
+            self._channel.cancelled(self.pe_id, task.task_id, self._clock())
+        )
+
+
+class _Worker(threading.Thread):
+    """One slave PE thread running :func:`~repro.core.slave.serve`."""
+
+    def __init__(
+        self,
+        link: _LocalLink,
+        engine: Engine,
+        chunks: list[SequenceDatabase],
         clock,
         injector: FaultInjector | None = None,
-        batch: int = 1,
     ):
-        super().__init__(name=pe_id, daemon=True)
-        self.pe_id = pe_id
-        self.engine = engine
-        self.shared = shared
-        self.queries = queries
-        self.chunks = chunks
-        self.chunk_offsets = chunk_offsets
-        self.cancel_flags = cancel_flags
-        self.cancel_lock = cancel_lock
-        self.clock = clock
-        self.injector = injector
-        self.batch = batch
-        self.tasks_done = 0
+        super().__init__(
+            name=link.pe_id, daemon=True, target=serve,
+            args=(link, engine, chunks),
+            kwargs={"clock": clock, "injector": injector},
+        )
+        self.pe_id = link.pe_id
+        self.link = link
         self.error: BaseException | None = None
 
     def run(self) -> None:
         try:
-            self._serve()
+            super().run()
         except BaseException as exc:  # surfaced by the runtime
             self.error = exc
-
-    def _cancelled(self, task_id: int) -> bool:
-        with self.cancel_lock:
-            return task_id in self.cancel_flags[self.pe_id]
-
-    def _check_crash(self) -> None:
-        """Die silently if the fault plan says this PE crashes now."""
-        if self.injector is None:
-            return
-        now = self.clock()
-        if self.injector.crash_due(self.pe_id, now, self.tasks_done):
-            self.injector.mark_crashed(self.pe_id, now)
-            raise InjectedCrash(self.pe_id)
-
-    def _serve(self) -> None:
-        while True:
-            self._check_crash()
-            assignment = self.shared.request(self.pe_id, self.clock())
-            if assignment.done:
-                return
-            if assignment.empty:
-                time.sleep(_WAIT_POLL_SECONDS)
-                continue
-            with self.cancel_lock:
-                # A fresh grant supersedes any cancel flag left over
-                # from a previous attempt at the same task (reap,
-                # release, re-assign back to this PE).
-                for task in (*assignment.tasks, *assignment.replicas):
-                    self.cancel_flags[self.pe_id].discard(task.task_id)
-            if self.batch > 1 and len(assignment.tasks) > 1:
-                for group in group_into_batches(assignment.tasks, self.batch):
-                    if len(group) == 1:
-                        self._execute(group.tasks[0])
-                    else:
-                        self._execute_batch(group)
-            else:
-                for task in assignment.tasks:
-                    self._execute(task)
-            # Replicas always execute singly: a replica races another
-            # PE's in-flight copy, so coalescing it would only delay
-            # the first completion the mechanism is trying to speed up.
-            for task in assignment.replicas:
-                self._execute(task)
-
-    def _execute(self, task: Task) -> None:
-        query = self.queries[task.query_index]
-        database = self.chunks[task.chunk_index]
-        started = self.clock()
-        last_notify = started
-        state = {"last": last_notify}
-
-        def progress(chunk: ChunkProgress) -> bool:
-            self._check_crash()  # crashes can fire mid-task
-            now = self.clock()
-            interval = now - state["last"]
-            state["last"] = now
-            if self.injector is not None:
-                pause = self.injector.straggle_sleep(
-                    self.pe_id, now, interval
-                )
-                if pause > 0:
-                    time.sleep(pause)
-                    now = self.clock()
-            self.shared.progress(self.pe_id, now, chunk.cells, interval)
-            return not self._cancelled(task.task_id)
-
-        hits = self.engine.search(query, database, progress=progress)
-        now = self.clock()
-        if hits is None:  # aborted by cancellation
-            self.shared.cancelled(self.pe_id, task.task_id, now)
-            return
-        result = TaskResult(
-            task_id=task.task_id,
-            pe_id=self.pe_id,
-            elapsed=max(now - started, 1e-9),
-            cells=task.cells,
-            payload=offset_hits(hits, self.chunk_offsets[task.chunk_index]),
-        )
-        losers = self.shared.complete(self.pe_id, result, now)
-        self.tasks_done += 1
-        with self.cancel_lock:
-            for loser in losers:
-                self.cancel_flags[loser].add(task.task_id)
-
-    def _execute_batch(self, group: TaskBatch) -> None:
-        """One multi-query sweep, fanned back out to per-task messages.
-
-        The engine scores every member of *group* in one call; each
-        task still completes (or acknowledges cancellation)
-        individually, so the master's bookkeeping, the journal and any
-        replica race see exactly the per-task protocol they would under
-        singleton execution.  The batch's wall-clock time is
-        apportioned to members by their cell share.
-        """
-        tasks = group.tasks
-        queries = [self.queries[t.query_index] for t in tasks]
-        database = self.chunks[group.chunk_index]
-        started = self.clock()
-        state = {"last": started}
-
-        def progress(position: int, chunk: ChunkProgress) -> bool:
-            self._check_crash()
-            now = self.clock()
-            interval = now - state["last"]
-            state["last"] = now
-            if self.injector is not None:
-                pause = self.injector.straggle_sleep(
-                    self.pe_id, now, interval
-                )
-                if pause > 0:
-                    time.sleep(pause)
-                    now = self.clock()
-            self.shared.progress(self.pe_id, now, chunk.cells, interval)
-            return not self._cancelled(tasks[position].task_id)
-
-        def cancelled(position: int) -> bool:
-            return self._cancelled(tasks[position].task_id)
-
-        hit_lists = self.engine.search_batch(
-            queries, database, progress=progress, cancelled=cancelled
-        )
-        now = self.clock()
-        total_elapsed = max(now - started, 1e-9)
-        total_cells = group.cells
-        for task, hits in zip(tasks, hit_lists):
-            if hits is None:  # aborted by cancellation
-                self.shared.cancelled(self.pe_id, task.task_id, self.clock())
-                continue
-            share = task.cells / total_cells if total_cells else 1.0
-            result = TaskResult(
-                task_id=task.task_id,
-                pe_id=self.pe_id,
-                elapsed=max(total_elapsed * share, 1e-9),
-                cells=task.cells,
-                payload=offset_hits(
-                    hits, self.chunk_offsets[task.chunk_index]
-                ),
-            )
-            losers = self.shared.complete(self.pe_id, result, self.clock())
-            self.tasks_done += 1
-            with self.cancel_lock:
-                for loser in losers:
-                    self.cancel_flags[loser].add(task.task_id)
 
 
 class HybridRuntime:
@@ -561,28 +491,21 @@ class HybridRuntime:
                 )
             ).start()
 
-        store: CheckpointStore | None = None
-        if self.checkpoint_dir is not None:
-            store = CheckpointStore(
-                self.checkpoint_dir,
-                sync_every=self.checkpoint_sync_every,
-                compact_every=self.checkpoint_compact_every,
-            )
-            recovered = store.open(workload_fingerprint(tasks))
-        master = Master(
+        master, store, _ = open_master(
             tasks,
+            self.checkpoint_dir,
+            sync_every=self.checkpoint_sync_every,
+            compact_every=self.checkpoint_compact_every,
+            now=clock(),
             policy=self.policy,
             adjustment=self.adjustment,
             omega=self.omega,
             metrics=metrics,
             events=events,
-            journal=store,
             batch=self.batch,
         )
         for engine in self.engines.values():
             engine.bind_caches(metrics)
-        if store is not None and not recovered.empty:
-            restore_into(master, recovered, now=clock())
         injector = (
             FaultInjector(self.faults, events=events, clock=clock)
             if self.faults is not None
@@ -603,21 +526,15 @@ class HybridRuntime:
         if heartbeat is None and self.faults is not None:
             heartbeat = _DEFAULT_HEARTBEAT_SECONDS
 
-        cancel_lock = threading.Lock()
-        cancel_flags: dict[str, set[int]] = {pe: set() for pe in self.engines}
         workers = [
             _Worker(
-                pe_id,
+                _LocalLink(
+                    pe_id, channel, queries, offsets, self.batch, clock
+                ),
                 engine,
-                channel,
-                queries,
                 chunks,
-                offsets,
-                cancel_flags,
-                cancel_lock,
                 clock,
                 injector,
-                batch=self.batch,
             )
             for pe_id, engine in self.engines.items()
         ]
@@ -692,7 +609,7 @@ class HybridRuntime:
             total_cells=total_cells,
             results=results,
             trace=list(master.trace),
-            tasks_by_pe={w.pe_id: w.tasks_done for w in workers},
+            tasks_by_pe={w.pe_id: w.link.tasks_done for w in workers},
             metrics=metrics.snapshot(),
             events=events,
         )

@@ -9,6 +9,7 @@ from .checkpoint import (
     CheckpointStore,
     RecoveredState,
     ServiceRecoveredState,
+    open_master,
     restore_into,
     workload_fingerprint,
 )
@@ -41,4 +42,5 @@ __all__ = [
     "ServiceRecoveredState",
     "workload_fingerprint",
     "restore_into",
+    "open_master",
 ]

@@ -730,3 +730,39 @@ def restore_into(master, recovered: RecoveredState, now: float = 0.0) -> int:
         torn_tail=recovered.torn_tail,
     )
     return restored
+
+
+def open_master(
+    tasks: list[Task],
+    checkpoint: "str | Path | CheckpointStore | None" = None,
+    *,
+    sync_every: int = 1,
+    compact_every: int = 0,
+    now: float = 0.0,
+    **master_kwargs,
+):
+    """Open (or resume) a journal, build a master over it, restore it.
+
+    *checkpoint* is a directory, an unopened :class:`CheckpointStore`,
+    or ``None`` for a journal-less master.  The master journals into
+    the opened store, and every durable winning result is restored
+    onto it at *now* before anything else touches it.  Returns
+    ``(master, store, recovered)``; the last two are ``None`` without
+    a checkpoint.  *master_kwargs* go to :class:`~repro.core.master.Master`.
+    """
+    from ..core.master import Master
+
+    store = recovered = None
+    if checkpoint is not None:
+        store = (
+            checkpoint
+            if isinstance(checkpoint, CheckpointStore)
+            else CheckpointStore(
+                checkpoint, sync_every=sync_every, compact_every=compact_every
+            )
+        )
+        recovered = store.open(workload_fingerprint(list(tasks)))
+    master = Master(list(tasks), journal=store, **master_kwargs)
+    if recovered is not None and not recovered.empty:
+        restore_into(master, recovered, now=now)
+    return master, store, recovered

@@ -1,12 +1,14 @@
 """In-process always-on search service (threaded environment).
 
 The service analogue of :class:`~repro.core.runtime.HybridRuntime`:
-the same ``_Worker`` threads and lock-guarded master facade, but the
-workload arrives over :meth:`ThreadedSearchService.submit` while the
-workers run, instead of being preloaded.  A ticker thread drives
-:meth:`ServiceCore.tick` so completions finalize, deadlines expire
-(propagating cancel flags to executing workers, exactly the replica
-cancellation path) and the dispatch window refills.
+the same worker threads running the one slave loop
+(:func:`repro.core.slave.serve`) through an in-process link to the same
+lock-guarded master facade, but the workload arrives over
+:meth:`ThreadedSearchService.submit` while the workers run, instead of
+being preloaded.  A ticker thread drives :meth:`ServiceCore.tick` so
+completions finalize, deadlines expire (queueing cancellations on the
+facade, which hands them to the executing workers exactly like the
+losers of a replica race) and the dispatch window refills.
 
 Results for admitted requests are byte-identical to the one-shot
 :class:`~repro.core.runtime.HybridRuntime` path: one task per request
@@ -21,11 +23,10 @@ import time
 
 from ..align.api import SearchHit
 from ..core.engines import Engine
-from ..core.master import Master
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
 from ..core.results import merge_hits
-from ..core.runtime import _SharedMaster, _Worker
-from ..durability import CheckpointStore, restore_into, workload_fingerprint
+from ..core.runtime import _LocalLink, _SharedMaster, _Worker
+from ..durability import open_master
 from ..sequences.database import SequenceDatabase
 from ..sequences.records import Sequence
 from .core import ServiceConfig, ServiceCore, ServiceRequest, SubmitOutcome
@@ -71,21 +72,14 @@ class ThreadedSearchService:
         self.top = top
         self.tick_interval = tick_interval
         self._start_time = time.perf_counter()
-        self._store: CheckpointStore | None = None
-        recovered = None
-        if checkpoint_dir is not None:
-            self._store = CheckpointStore(
-                checkpoint_dir,
-                sync_every=checkpoint_sync_every,
-                compact_every=checkpoint_compact_every,
-            )
-            recovered = self._store.open(workload_fingerprint([]))
-        self.master = Master(
+        self.master, self._store, recovered = open_master(
             [],
+            checkpoint_dir,
+            sync_every=checkpoint_sync_every,
+            compact_every=checkpoint_compact_every,
             policy=policy or PackageWeightedSelfScheduling(),
             adjustment=adjustment,
             omega=omega,
-            journal=self._store,
         )
         #: Growing query catalog; task.query_index points into it.  New
         #: entries are appended *before* the task becomes visible (the
@@ -96,29 +90,18 @@ class ThreadedSearchService:
             # Cold restart: master results first (so finished requests
             # can readopt their journaled hits), then the service
             # journal rebuilds queues and re-admits unfinished work.
-            if recovered is not None and not recovered.empty:
-                restore_into(self.master, recovered, now=0.0)
-            results = (
-                {r.task_id: r for r in recovered.results()}
-                if recovered is not None
-                else {}
-            )
             self.core = ServiceCore.recover(
                 self.master,
                 self._store,
                 config,
                 now=0.0,
-                results=results,
+                results={r.task_id: r for r in recovered.results()},
                 query_index_of=self._recover_query,
                 wall_now=time.time(),
             )
         else:
             self.core = ServiceCore(self.master, config)
         self.shared = _SharedMaster(self.master)
-        self._cancel_lock = threading.Lock()
-        self._cancel_flags: dict[str, set[int]] = {
-            pe: set() for pe in self.engines
-        }
         self._workers: list[_Worker] = []
         self._ticker: threading.Thread | None = None
         self._ticker_stop = threading.Event()
@@ -151,14 +134,12 @@ class ThreadedSearchService:
         self._started = True
         self._workers = [
             _Worker(
-                pe_id,
+                _LocalLink(
+                    pe_id, self.shared, self.queries,
+                    chunk_offsets=[0], batch=1, clock=self._clock,
+                ),
                 engine,
-                self.shared,
-                self.queries,
                 [self.database],
-                [0],
-                self._cancel_flags,
-                self._cancel_lock,
                 self._clock,
             )
             for pe_id, engine in self.engines.items()
@@ -175,20 +156,11 @@ class ThreadedSearchService:
 
     def _tick_loop(self) -> None:
         while not self._ticker_stop.wait(self.tick_interval):
-            actions = self.shared.with_lock(
-                lambda m: self.core.tick(self._clock())
-            )
-            self._apply_cancels(actions.cancels)
+            with self.shared.lock:
+                actions = self.core.tick(self._clock())
+                self.shared.add_cancels(actions.cancels)
             if self.core.drained:
                 return
-
-    def _apply_cancels(self, cancels) -> None:
-        if not cancels:
-            return
-        with self._cancel_lock:
-            for pe_id, task_id in cancels:
-                if pe_id in self._cancel_flags:
-                    self._cancel_flags[pe_id].add(task_id)
 
     # ------------------------------------------------------------------
     # Client surface
@@ -210,7 +182,7 @@ class ThreadedSearchService:
         if not self._started or self._closed:
             raise RuntimeError("service is not running")
 
-        def _submit(master: Master) -> SubmitOutcome:
+        with self.shared.lock:
             if (
                 request_id is not None
                 and request_id in self.core.requests
@@ -233,12 +205,9 @@ class ThreadedSearchService:
                 self.queries.pop()
             return outcome
 
-        return self.shared.with_lock(_submit)
-
     def poll(self, request_id: str) -> ServiceRequest:
-        return self.shared.with_lock(
-            lambda m: self.core.poll(request_id)
-        )
+        with self.shared.lock:
+            return self.core.poll(request_id)
 
     def result(self, request_id: str) -> tuple[SearchHit, ...] | None:
         """Ranked hits of a ``done`` request (``None`` otherwise).
@@ -246,9 +215,8 @@ class ThreadedSearchService:
         Identical ranking to the one-shot runtime: the winning task's
         payload through :func:`merge_hits` with the service's ``top``.
         """
-        hits = self.shared.with_lock(
-            lambda m: self.core.results_for(request_id)
-        )
+        with self.shared.lock:
+            hits = self.core.results_for(request_id)
         if hits is None:
             return None
         return merge_hits([hits], top=self.top)
@@ -270,10 +238,9 @@ class ThreadedSearchService:
             time.sleep(_WAIT_SECONDS)
 
     def cancel(self, request_id: str) -> None:
-        actions = self.shared.with_lock(
-            lambda m: self.core.cancel(request_id, self._clock())
-        )
-        self._apply_cancels(actions.cancels)
+        with self.shared.lock:
+            actions = self.core.cancel(request_id, self._clock())
+            self.shared.add_cancels(actions.cancels)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -285,7 +252,8 @@ class ThreadedSearchService:
         worker threads have exited (the drained master reports *done*
         to their next poll).
         """
-        self.shared.with_lock(lambda m: self.core.drain(self._clock()))
+        with self.shared.lock:
+            self.core.drain(self._clock())
         limit = time.perf_counter() + timeout
         while not self.core.drained:
             if time.perf_counter() >= limit:
@@ -293,9 +261,8 @@ class ThreadedSearchService:
             time.sleep(_WAIT_SECONDS)
         for worker in self._workers:
             worker.join(timeout=max(0.0, limit - time.perf_counter()))
-        return self.shared.with_lock(
-            lambda m: self.core.final_record(self._clock())
-        )
+        with self.shared.lock:
+            return self.core.final_record(self._clock())
 
     def crash(self) -> None:
         """Hard-kill simulation for chaos tests: no drain, no farewell.
@@ -314,12 +281,7 @@ class ThreadedSearchService:
         self._ticker_stop.set()
         if self._ticker is not None:
             self._ticker.join()
-
-        def _arm(master: Master) -> None:
-            self.shared._crash_at = -1.0
-            self.shared.crashed = True
-
-        self.shared.with_lock(_arm)
+        self.shared.crash()
         for worker in self._workers:
             worker.join(timeout=5.0)
         if self._store is not None:

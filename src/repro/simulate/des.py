@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from ..core.master import Master, TraceEvent
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
 from ..core.task import Task, TaskResult
-from ..durability import CheckpointStore, restore_into, workload_fingerprint
+from ..durability import CheckpointStore, open_master
 from ..faults import FaultInjector, FaultPlan
 from ..observability import (
     EventLog,
@@ -306,37 +306,28 @@ class HybridSimulator:
         queue = EventQueue()
         metrics = MetricsRegistry()
         events = EventLog()
-        store: CheckpointStore | None = None
-        workload = workload_fingerprint(list(tasks))
-        if self.checkpoint_dir is not None:
-            store = CheckpointStore(
-                self.checkpoint_dir,
-                sync_every=self.checkpoint_sync_every,
-                compact_every=self.checkpoint_compact_every,
-            )
-            recovered = store.open(workload)
         if (
             self.faults is not None
             and self.faults.master_crash is not None
-            and store is None
+            and self.checkpoint_dir is None
         ):
             raise ValueError(
                 "a master_crash fault requires checkpoint_dir: without a "
                 "journal there is nothing for the replacement master to "
                 "recover from"
             )
-        master = Master(
-            list(tasks),
+        master, store, _ = open_master(
+            tasks,
+            self.checkpoint_dir,
+            sync_every=self.checkpoint_sync_every,
+            compact_every=self.checkpoint_compact_every,
             policy=self.policy,
             adjustment=self.adjustment,
             omega=self.omega,
             metrics=metrics,
             events=events,
-            journal=store,
             batch=self.batch,
         )
-        if store is not None and not recovered.empty:
-            restore_into(master, recovered, now=0.0)
         pes = {spec.pe_id: _SimPE(spec) for spec in self.specs}
         injector = None
         heartbeat = self.heartbeat_timeout
@@ -348,7 +339,7 @@ class HybridSimulator:
                 heartbeat = 10 * self.notify_interval
         state = _RunState(
             queue, master, pes, self, injector, heartbeat or 0.0,
-            tasks=list(tasks), store=store, workload=workload,
+            tasks=list(tasks), store=store,
         )
 
         if injector is not None:
@@ -483,7 +474,6 @@ class _RunState:
         heartbeat: float = 0.0,
         tasks: list[Task] | None = None,
         store: CheckpointStore | None = None,
-        workload: dict | None = None,
     ):
         self.queue = queue
         self.master = master
@@ -493,7 +483,6 @@ class _RunState:
         self.heartbeat = heartbeat
         self.tasks = tasks if tasks is not None else []
         self.store = store
-        self.workload = workload
         #: Trace of masters that crashed, stitched before the survivor's.
         self.trace_prefix: list[TraceEvent] = []
         #: The master is unreachable until this virtual time (a
@@ -1074,25 +1063,24 @@ class _RunState:
         dead = self.master
         self.trace_prefix.extend(dead.trace)
         self.store.close()
-        store = CheckpointStore(
-            self.config.checkpoint_dir,
-            sync_every=self.config.checkpoint_sync_every,
-            compact_every=self.config.checkpoint_compact_every,
-        )
-        recovered = store.open(self.workload)
-        replacement = Master(
-            list(self.tasks),
-            policy=self.config.policy,
-            adjustment=self.config.adjustment,
-            omega=self.config.omega,
+        self.master, self.store, _ = self._reopen_master(dead, now)
+
+    def _reopen_master(self, dead: Master, now: float):
+        """Recover a replacement for *dead* from the checkpoint directory."""
+        config = self.config
+        return open_master(
+            self.tasks,
+            config.checkpoint_dir,
+            sync_every=config.checkpoint_sync_every,
+            compact_every=config.checkpoint_compact_every,
+            now=now,
+            policy=config.policy,
+            adjustment=config.adjustment,
+            omega=config.omega,
             metrics=dead.metrics,
             events=dead.events,
-            journal=store,
-            batch=self.config.batch,
+            batch=config.batch,
         )
-        restore_into(replacement, recovered, now=now)
-        self.master = replacement
-        self.store = store
 
     def on_reap(self) -> None:
         """Periodic heartbeat sweep: deregister silent PEs.
@@ -1342,28 +1330,10 @@ class _ServiceRunState(_RunState):
         dead = self.master
         self.trace_prefix.extend(dead.trace)
         self.store.close()
-        store = CheckpointStore(
-            self.config.checkpoint_dir,
-            sync_every=self.config.checkpoint_sync_every,
-            compact_every=self.config.checkpoint_compact_every,
-        )
-        recovered = store.open(self.workload)
-        replacement = Master(
-            [],
-            policy=self.config.policy,
-            adjustment=self.config.adjustment,
-            omega=self.config.omega,
-            metrics=dead.metrics,
-            events=dead.events,
-            journal=store,
-            batch=self.config.batch,
-        )
-        restore_into(replacement, recovered, now=now)
-        self.master = replacement
-        self.store = store
+        self.master, self.store, recovered = self._reopen_master(dead, now)
         self.service = ServiceCore.recover(
-            replacement,
-            store,
+            self.master,
+            self.store,
             self.service.config,
             now=now,
             results={r.task_id: r for r in recovered.results()},
@@ -1409,38 +1379,29 @@ class ServiceSimulator(HybridSimulator):
         queue = EventQueue()
         metrics = MetricsRegistry()
         events = EventLog()
-        store: CheckpointStore | None = None
-        workload = workload_fingerprint([])
-        if self.checkpoint_dir is not None:
-            store = CheckpointStore(
-                self.checkpoint_dir,
-                sync_every=self.checkpoint_sync_every,
-                compact_every=self.checkpoint_compact_every,
-            )
-            recovered = store.open(workload)
         if (
             self.faults is not None
             and self.faults.master_crash is not None
-            and store is None
+            and self.checkpoint_dir is None
         ):
             raise ValueError(
                 "a master_crash fault requires checkpoint_dir: without "
                 "the journal pair there is nothing for the replacement "
                 "service master to recover from"
             )
-        master = Master(
+        master, store, recovered = open_master(
             [],
+            self.checkpoint_dir,
+            sync_every=self.checkpoint_sync_every,
+            compact_every=self.checkpoint_compact_every,
             policy=self.policy,
             adjustment=self.adjustment,
             omega=self.omega,
             metrics=metrics,
             events=events,
-            journal=store,
             batch=self.batch,
         )
         if store is not None:
-            if not recovered.empty:
-                restore_into(master, recovered, now=0.0)
             core = ServiceCore.recover(
                 master,
                 store,
@@ -1461,7 +1422,7 @@ class ServiceSimulator(HybridSimulator):
                 heartbeat = 10 * self.notify_interval
         state = _ServiceRunState(
             queue, master, pes, self, injector, heartbeat or 0.0,
-            tasks=[], store=store, workload=workload, service=core,
+            tasks=[], store=store, service=core,
         )
 
         if injector is not None:

@@ -361,3 +361,33 @@ class TestClusterEquivalence:
         assert finished(tmp_path / "plain") == finished(
             tmp_path / "batched"
         ) == set(range(len(queries)))
+
+    def test_replica_race_on_batched_task(self, rng):
+        """A straggler's batched tasks are rescued by replicas over the
+        wire, and the race's cancels reach the loser's batched sweep."""
+        from repro.align import database_search
+        from repro.cluster import run_cluster
+        from repro.faults import FaultPlan, StragglerFault
+
+        queries = query_set(4, rng, 20, 30)
+        database = random_database(24, 40.0, rng, name="cluster-rescue")
+        plan = FaultPlan(
+            stragglers=(StragglerFault(pe_id="slow", factor=0.05),)
+        )
+        report = run_cluster(
+            queries, database, {"fast": "gpu", "slow": "gpu"},
+            use_processes=False, timeout=60, batch=2, chunk_size=1,
+            faults=plan,
+        )
+        assert any(e.kind == "replica" for e in report.trace)
+        assert any(
+            e.kind == "cancelled" and e.pe_id == "slow" for e in report.trace
+        )
+        for query in queries:
+            expected = database_search(
+                query, database, BLOSUM62, DEFAULT_GAPS, top=10
+            ).hits
+            assert [(h.subject_index, h.score)
+                    for h in report.results[query.id]] == [
+                (h.subject_index, h.score) for h in expected
+            ]

@@ -95,6 +95,7 @@ class TestHeartbeats:
             run_worker,
             send_message,
         )
+        from repro.cluster.protocol import PROTOCOL_VERSION
         from repro.core.runtime import build_tasks
         from repro.sequences import (
             query_set,
@@ -123,7 +124,8 @@ class TestHeartbeats:
                 # The doomed worker: grabs one task, goes silent.
                 doomed = socket.create_connection((host, port), timeout=10)
                 reader = doomed.makefile("rb")
-                send_message(doomed, {"type": "register", "pe_id": "doomed"})
+                send_message(doomed, {"type": "register", "pe_id": "doomed",
+                                      "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
                 send_message(doomed, {"type": "request", "pe_id": "doomed"})
                 assert recv_message(reader)["tasks"]
@@ -160,6 +162,7 @@ class TestHeartbeats:
         import time as _time
 
         from repro.cluster import MasterServer, send_message, recv_message
+        from repro.cluster.protocol import PROTOCOL_VERSION
         from repro.core import Task as CoreTask
 
         tasks = [CoreTask(task_id=0, query_id="q0", query_length=4,
@@ -173,7 +176,8 @@ class TestHeartbeats:
             # The doomed worker grabs the task and goes silent.
             dead = socket.create_connection((host, port), timeout=10)
             reader = dead.makefile("rb")
-            send_message(dead, {"type": "register", "pe_id": "dead"})
+            send_message(dead, {"type": "register", "pe_id": "dead",
+                                "protocol": PROTOCOL_VERSION})
             recv_message(reader)
             send_message(dead, {"type": "request", "pe_id": "dead"})
             grabbed = recv_message(reader)

@@ -22,6 +22,7 @@ from repro.cluster import (
     run_worker,
     send_message,
 )
+from repro.cluster.protocol import PROTOCOL_VERSION
 from repro.core import SelfScheduling, Task
 from repro.sequences import query_set, random_database
 
@@ -96,10 +97,15 @@ class TestProtocolHandshake:
 
         assert 1 <= MIN_PROTOCOL_VERSION <= PROTOCOL_VERSION
 
-    def test_absent_field_is_version_one(self):
+    def test_absent_or_older_version_rejected(self):
         from repro.cluster.protocol import check_protocol_version
 
-        assert check_protocol_version({"type": "register"}) == 1
+        with pytest.raises(ProtocolError, match="protocol"):
+            check_protocol_version({"type": "register"})
+        with pytest.raises(ProtocolError, match="unsupported"):
+            check_protocol_version(
+                {"type": "register", "protocol": PROTOCOL_VERSION - 1}
+            )
 
     def test_current_version_accepted(self):
         from repro.cluster.protocol import (
@@ -157,7 +163,8 @@ class TestMasterServer:
         replies = self._talk(
             server,
             [
-                {"type": "register", "pe_id": "w0"},
+                {"type": "register", "pe_id": "w0",
+                 "protocol": PROTOCOL_VERSION},
                 {"type": "request", "pe_id": "w0"},
             ],
         )
@@ -192,12 +199,21 @@ class TestMasterServer:
         assert replies[0]["type"] == "ack"
         assert replies[0]["protocol"] == PROTOCOL_VERSION
 
-    def test_v1_register_still_accepted(self, server):
-        """A pre-handshake worker (no protocol field) interoperates."""
-        replies = self._talk(
-            server, [{"type": "register", "pe_id": "old-timer"}]
-        )
-        assert replies[0]["type"] == "ack"
+    def test_old_register_rejected_and_connection_closed(self, server):
+        """A pre-handshake (no protocol field) or older worker is
+        refused at the handshake."""
+        host, port = server.address
+        for extra in ({}, {"protocol": PROTOCOL_VERSION - 1}):
+            with socket.create_connection((host, port), timeout=10) as sock:
+                reader = sock.makefile("rb")
+                send_message(
+                    sock, {"type": "register", "pe_id": "old", **extra}
+                )
+                reply = recv_message(reader)
+                assert reply["type"] == "error"
+                assert "protocol" in reply["message"]
+                assert recv_message(reader) is None
+        assert not server.master.is_registered("old")
 
     def test_future_protocol_rejected_and_connection_closed(self, server):
         from repro.cluster.protocol import PROTOCOL_VERSION
@@ -217,7 +233,8 @@ class TestMasterServer:
         replies = self._talk(
             server,
             [
-                {"type": "register", "pe_id": "w1"},
+                {"type": "register", "pe_id": "w1",
+                 "protocol": PROTOCOL_VERSION},
                 {"type": "frobnicate"},
             ],
         )
@@ -320,7 +337,8 @@ class TestResilience:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 reader = sock.makefile("rb")
-                send_message(sock, {"type": "register", "pe_id": "w0"})
+                send_message(sock, {"type": "register", "pe_id": "w0",
+                                    "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
                 send_message(sock, {"type": "request", "pe_id": "w0"})
                 recv_message(reader)
@@ -342,7 +360,8 @@ class TestResilience:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 reader = sock.makefile("rb")
-                send_message(sock, {"type": "register", "pe_id": "w0"})
+                send_message(sock, {"type": "register", "pe_id": "w0",
+                                    "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
                 send_message(sock, {"type": "request", "pe_id": "w0"})
                 assert recv_message(reader)["tasks"]
@@ -350,7 +369,8 @@ class TestResilience:
                 reader = sock.makefile("rb")
                 send_message(
                     sock,
-                    {"type": "register", "pe_id": "w0", "attempt": 1},
+                    {"type": "register", "pe_id": "w0", "attempt": 1,
+                     "protocol": PROTOCOL_VERSION},
                 )
                 reply = recv_message(reader)
                 assert reply["type"] == "ack"
@@ -371,7 +391,8 @@ class TestResilience:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 reader = sock.makefile("rb")
-                send_message(sock, {"type": "register", "pe_id": "w0"})
+                send_message(sock, {"type": "register", "pe_id": "w0",
+                                    "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
                 send_message(sock, {"type": "request", "pe_id": "w0"})
                 task = recv_message(reader)["tasks"][0]
@@ -407,7 +428,8 @@ class TestResilience:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 reader = sock.makefile("rb")
-                send_message(sock, {"type": "register", "pe_id": "w0"})
+                send_message(sock, {"type": "register", "pe_id": "w0",
+                                    "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
                 send_message(sock, {"type": "request", "pe_id": "w0"})
                 task = recv_message(reader)["tasks"][0]

@@ -532,6 +532,7 @@ class TestClusterKillRestart:
 
     def test_restarted_master_adopts_journal(self, tmp_path):
         from repro.cluster import MasterServer, recv_message, send_message
+        from repro.cluster.protocol import PROTOCOL_VERSION
 
         tasks = self._tasks()
         server = MasterServer(
@@ -542,7 +543,8 @@ class TestClusterKillRestart:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 reader = sock.makefile("rb")
-                send_message(sock, {"type": "register", "pe_id": "w0"})
+                send_message(sock, {"type": "register", "pe_id": "w0",
+                                    "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
                 send_message(sock, {"type": "request", "pe_id": "w0"})
                 reply = recv_message(reader)

@@ -81,3 +81,53 @@ class TestLinearSpaceRescoreRegression:
         expected = sw_score_reference(a, b, BLOSUM62, gaps)
         assert alignment.score == expected
         assert alignment.rescore(BLOSUM62, gaps) == expected
+
+
+class TestThreadedStraggleAccountingRegression:
+    """The threaded worker measured its progress interval *before* the
+    straggle pause, so the master's rate estimator saw a straggle one
+    sample late — and never saw the pause after a task's last sample.
+
+    One PE, one subject: every task reports exactly one progress
+    sample, which must therefore cover (nearly) the task's whole
+    elapsed time, pause included.  Before the fix the ratio was about
+    the straggle factor (0.25).
+    """
+
+    def test_reported_interval_includes_the_pause(self, monkeypatch):
+        import numpy as np
+
+        from repro.align import DEFAULT_GAPS
+        from repro.core import HybridRuntime, ScanEngine
+        from repro.core.master import Master
+        from repro.faults import FaultPlan, StragglerFault
+        from repro.sequences import query_set, random_database
+
+        intervals: list[float] = []
+        elapsed: list[float] = []
+        on_progress, on_complete = Master.on_progress, Master.on_complete
+
+        def spy_progress(self, pe_id, now, cells, interval):
+            intervals.append(interval)
+            return on_progress(self, pe_id, now, cells, interval)
+
+        def spy_complete(self, pe_id, result, now):
+            elapsed.append(result.elapsed)
+            return on_complete(self, pe_id, result, now)
+
+        monkeypatch.setattr(Master, "on_progress", spy_progress)
+        monkeypatch.setattr(Master, "on_complete", spy_complete)
+        rng = np.random.default_rng(3)
+        queries = query_set(3, rng, min_length=120, max_length=140)
+        database = random_database(1, 300.0, rng, name="one-subject")
+        plan = FaultPlan(stragglers=(StragglerFault(pe_id="pe", factor=0.25),))
+        runtime = HybridRuntime(
+            {"pe": ScanEngine(BLOSUM62, DEFAULT_GAPS)},
+            faults=plan,
+            heartbeat_timeout=0,
+        )
+        report = runtime.run(queries, database)
+        assert any(e["kind"] == "fault_straggle" for e in report.events)
+        assert len(intervals) == len(elapsed) == len(queries)
+        for interval, total in zip(intervals, elapsed):
+            assert interval >= 0.75 * total

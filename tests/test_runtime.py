@@ -71,6 +71,39 @@ class TestHybridRun:
         ]
         assert len(winners) == len(queries)
 
+    def test_replica_races_under_thread_contention(self, workload):
+        """More worker threads than cores racing replicas through one
+        facade: every task is still won exactly once, with exact hits."""
+        import sys
+
+        queries, database = workload
+        runtime = HybridRuntime(
+            {
+                f"pe{i}": ScanEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=1)
+                for i in range(6)
+            }
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = runtime.run(queries, database)
+        finally:
+            sys.setswitchinterval(interval)
+        winners = [
+            event.task_id for event in report.trace
+            if event.kind == "complete" and event.value == 1.0
+        ]
+        assert sorted(winners) == list(range(len(queries)))
+        assert any(event.kind == "replica" for event in report.trace)
+        for query in queries:
+            expected = database_search(
+                query, database, BLOSUM62, DEFAULT_GAPS, top=10
+            ).hits
+            assert [(h.subject_index, h.score)
+                    for h in report.results[query.id]] == [
+                (h.subject_index, h.score) for h in expected
+            ]
+
     def test_single_engine(self, workload):
         queries, database = workload
         runtime = HybridRuntime(

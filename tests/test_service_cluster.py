@@ -148,22 +148,23 @@ class TestWireSurface:
         finally:
             server.stop()
 
-    def test_pre_v4_worker_still_registers(self, workload):
-        # An old worker (no protocol field = version 1) keeps working
-        # against a service master for indexed-file tasks.
+    def test_pre_v4_worker_is_refused(self, workload):
+        # An old worker (no protocol field, or an older version) is
+        # refused at the handshake: the wire is pinned to one version.
         server = start_server(workload)
         try:
             host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as s:
-                reader = s.makefile("rb")
-                send_message(s, {"type": "register", "pe_id": "old0"})
-                reply = recv_message(reader)
-                assert reply["type"] == "ack"
-                assert reply["protocol"] == PROTOCOL_VERSION
-                send_message(s, {"type": "request", "pe_id": "old0"})
-                reply = recv_message(reader)
-                assert reply["type"] == "assign"
-                assert reply["tasks"]  # the preloaded workload
+            for extra in ({}, {"protocol": PROTOCOL_VERSION - 1}):
+                with socket.create_connection((host, port), timeout=10) as s:
+                    reader = s.makefile("rb")
+                    send_message(
+                        s, {"type": "register", "pe_id": "old0", **extra}
+                    )
+                    reply = recv_message(reader)
+                    assert reply["type"] == "error"
+                    assert "protocol" in reply["message"]
+                    assert recv_message(reader) is None
+            assert not server.master.is_registered("old0")
         finally:
             server.stop()
 
