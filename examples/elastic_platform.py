@@ -14,6 +14,7 @@ Run with::
 """
 
 from repro.bench import tasks_for_profile
+from repro.observability import analyze_events
 from repro.sequences import ENSEMBL_RAT
 from repro.simulate import (
     FPGAModel,
@@ -22,7 +23,6 @@ from repro.simulate import (
     PESpec,
     SSECoreModel,
     gantt,
-    schedule_metrics,
 )
 
 
@@ -39,14 +39,16 @@ def main() -> None:
         *[PESpec(f"sse{i}", SSECoreModel()) for i in range(2)],
     ]
     report = HybridSimulator(pes).run(tasks)
-    metrics = schedule_metrics(report)
+    analysis = analyze_events(report.events)
+    timelines = analysis.timelines.values()
+    utilization = sum(t.utilization for t in timelines) / len(timelines)
 
     print(f"workload: 40 queries x {ENSEMBL_RAT.name}")
     print(f"makespan: {report.makespan:.1f}s  ({report.gcups:.1f} GCUPS)")
     print(f"tasks won per PE: {report.tasks_won}")
     print(f"replicas issued: {report.replicas_assigned}, "
-          f"replica waste: {metrics.replica_waste_fraction:.1%} of busy time")
-    print(f"mean utilization: {metrics.mean_utilization:.1%}\n")
+          f"replica waste: {analysis.replica_waste_ratio:.1%} of busy time")
+    print(f"mean utilization: {utilization:.1%}\n")
 
     print(gantt(report))
     print("\ngpu1's row stops at its crash (t=20s, its task re-queued);")

@@ -17,12 +17,12 @@ import tempfile
 from pathlib import Path
 
 from repro.bench import tasks_for_profile
+from repro.observability import analyze_events
 from repro.sequences import SWISSPROT
 from repro.simulate import (
     HybridSimulator,
     gantt,
     paper_platform,
-    schedule_metrics,
     write_gantt_svg,
 )
 
@@ -43,13 +43,16 @@ def main() -> None:
 
     for adjustment, report in reports.items():
         label = "with" if adjustment else "without"
-        metrics = schedule_metrics(report)
+        analysis = analyze_events(report.events)
+        timelines = analysis.timelines.values()
+        utilization = sum(t.utilization for t in timelines) / len(timelines)
+        finishes = [max(iv.end for iv in t.intervals) for t in timelines]
         print(f"=== {label} workload adjustment ===")
         print(f"makespan {report.makespan:.1f}s  {report.gcups:.1f} GCUPS  "
               f"replicas {report.replicas_assigned}")
-        print(f"utilization {metrics.mean_utilization:.1%}  "
-              f"replica waste {metrics.replica_waste_fraction:.1%}  "
-              f"finish spread {metrics.finish_spread:.1f}s")
+        print(f"utilization {utilization:.1%}  "
+              f"replica waste {analysis.replica_waste_ratio:.1%}  "
+              f"finish spread {max(finishes) - min(finishes):.1f}s")
         print(gantt(report, width=68))
         print()
 

@@ -6,6 +6,8 @@
 # seeded fault-plan run per environment (DES, threaded runtime, TCP
 # cluster) that must finish every task with fault-free-identical
 # results, with the DES run's fault events surfaced by trace analyze,
+# plus a DES service run (one crash, one straggler) that must drain
+# with every admitted request done and replay identically,
 # and finally a durability stage: a seeded master-kill/resume
 # round-trip per environment over a --checkpoint directory, plus
 # `repro journal verify` on the produced journal (and a negative
@@ -307,6 +309,48 @@ print(f"DES chaos OK: {faults['total_injected']} fault(s) injected "
       f"({', '.join(faults['injected'])}), "
       f"{faults['reaps']} reap(s), "
       f"{faults['recovered_tasks']} task(s) recovered")
+PY
+# The service model runs the same DES run path as `repro simulate`:
+# one crash plus one straggler under an open-loop request stream must
+# drain with every admitted request done, identically across two runs.
+python - <<'PY'
+import sys
+
+import numpy as np
+
+from repro.faults import CrashFault, FaultPlan, StragglerFault
+from repro.service import ServiceConfig
+from repro.simulate import PESpec, ServiceSimulator, UniformModel, service_arrivals
+
+plan = FaultPlan(
+    seed=7,
+    crashes=(CrashFault("pe1", at_time=5.0),),
+    stragglers=(StragglerFault("pe0", factor=0.25, start=2.0, end=10.0),),
+)
+
+
+def run():
+    sim = ServiceSimulator(
+        [PESpec(f"pe{i}", UniformModel(rate=1e6)) for i in range(3)],
+        database_residues=10_000, faults=plan,
+    )
+    arrivals = service_arrivals(2.0, 20.0, np.random.default_rng(7))
+    return sim.run_service(arrivals, ServiceConfig(max_queue_depth=64))
+
+
+first, second = run(), run()
+states = {request.state for request in first.requests.values()}
+if first.admitted == 0 or states != {"done"}:
+    sys.exit(f"DES service chaos: admitted {first.admitted}, "
+             f"terminal states {sorted(states)} (want all done)")
+kinds = {event["kind"] for event in first.events}
+if not {"fault_crash", "fault_straggle"} <= kinds:
+    sys.exit(f"DES service chaos: faults did not fire ({sorted(kinds)})")
+if (first.to_dict() != second.to_dict() or first.metrics != second.metrics
+        or list(first.events) != list(second.events)):
+    sys.exit("DES service chaos: two seeded runs differ")
+print(f"DES service chaos OK: {first.admitted} request(s) admitted and "
+      f"done, drained at {first.drained_at:.2f}s, replay identical")
 PY
 
 echo

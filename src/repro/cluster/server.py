@@ -350,6 +350,7 @@ class MasterServer(socketserver.ThreadingTCPServer):
                 "(recover from disk), not both"
             )
         self._store: CheckpointStore | None = None
+        self._recovered = None
         if master is not None:
             # Adopt an existing master (and its metrics/event history):
             # the master-restart story — a new server process picks up
@@ -424,35 +425,28 @@ class MasterServer(socketserver.ThreadingTCPServer):
                 config = (
                     service if isinstance(service, ServiceConfig) else None
                 )
-                if self._store is not None:
-                    # Cold restart from the journal pair: re-admit every
-                    # unfinished request and re-register its inline
-                    # query payload so reconnecting workers can execute
-                    # it.  Finished requests readopt their journaled
-                    # hits byte-for-byte.
-                    def _recover_query(rec: dict) -> int:
-                        payload = rec.get("query")
-                        if payload is not None:
-                            self.inline_queries[int(rec["task"])] = {
-                                "id": str(payload["id"]),
-                                "residues": str(payload["residues"]),
-                            }
-                        return -1
+                # Cold restart from the journal pair (if any): re-admit
+                # every unfinished request and re-register its inline
+                # query payload so reconnecting workers can execute it.
+                # Finished requests readopt their journaled hits
+                # byte-for-byte.
+                def _recover_query(rec: dict) -> int:
+                    payload = rec.get("query")
+                    if payload is not None:
+                        self.inline_queries[int(rec["task"])] = {
+                            "id": str(payload["id"]),
+                            "residues": str(payload["residues"]),
+                        }
+                    return -1
 
-                    self.service = ServiceCore.recover(
-                        self.master,
-                        self._store,
-                        config,
-                        now=0.0,
-                        results={
-                            r.task_id: r
-                            for r in self._recovered.results()
-                        },
-                        query_index_of=_recover_query,
-                        wall_now=time.time(),
-                    )
-                else:
-                    self.service = ServiceCore(self.master, config)
+                self.service = ServiceCore.open(
+                    self.master,
+                    self._store,
+                    self._recovered,
+                    config,
+                    query_index_of=_recover_query,
+                    wall_now=time.time(),
+                )
         #: Silent-slave failure detection: workers quiet for longer than
         #: this many seconds are deregistered and their tasks re-queued.
         #: ``None`` disables reaping.

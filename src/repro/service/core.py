@@ -516,6 +516,37 @@ class ServiceCore:
     # Cold-restart recovery
     # ------------------------------------------------------------------
     @classmethod
+    def open(
+        cls,
+        master: Master,
+        store,
+        recovered,
+        config: ServiceConfig | None = None,
+        *,
+        now: float = 0.0,
+        query_index_of=None,
+        wall_now: float | None = None,
+    ):
+        """The one service-open step of every environment.
+
+        Takes what :func:`~repro.durability.open_master` returned: with
+        a journal *store* the service cold-restarts through
+        :meth:`recover` (master results first, so finished requests
+        readopt their journaled hits), without one it starts empty.
+        """
+        if store is None:
+            return cls(master, config)
+        return cls.recover(
+            master,
+            store,
+            config,
+            now=now,
+            results={r.task_id: r for r in recovered.results()},
+            query_index_of=query_index_of,
+            wall_now=wall_now,
+        )
+
+    @classmethod
     def recover(
         cls,
         master: Master,

@@ -86,21 +86,17 @@ class ThreadedSearchService:
         #: submit happens under the master lock), so workers never see
         #: an index they cannot resolve.
         self.queries: list[Sequence] = []
-        if self._store is not None:
-            # Cold restart: master results first (so finished requests
-            # can readopt their journaled hits), then the service
-            # journal rebuilds queues and re-admits unfinished work.
-            self.core = ServiceCore.recover(
-                self.master,
-                self._store,
-                config,
-                now=0.0,
-                results={r.task_id: r for r in recovered.results()},
-                query_index_of=self._recover_query,
-                wall_now=time.time(),
-            )
-        else:
-            self.core = ServiceCore(self.master, config)
+        # Cold restart: master results first (so finished requests can
+        # readopt their journaled hits), then the service journal
+        # rebuilds queues and re-admits unfinished work.
+        self.core = ServiceCore.open(
+            self.master,
+            self._store,
+            recovered,
+            config,
+            query_index_of=self._recover_query,
+            wall_now=time.time(),
+        )
         self.shared = _SharedMaster(self.master)
         self._workers: list[_Worker] = []
         self._ticker: threading.Thread | None = None

@@ -27,7 +27,6 @@ from .platform import (
     paper_platform,
     sse_cores,
 )
-from .metrics import PEUsage, ScheduleMetrics, schedule_metrics
 from .network import (
     GIGABIT_ETHERNET,
     SHARED_MEMORY,
@@ -71,9 +70,6 @@ __all__ = [
     "write_gantt_svg",
     "rate_series",
     "binned_rate_series",
-    "PEUsage",
-    "ScheduleMetrics",
-    "schedule_metrics",
     "LinkModel",
     "NetworkModel",
     "MessageSizes",

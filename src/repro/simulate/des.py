@@ -27,7 +27,9 @@ Semantics mirrored from the paper's environment:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.master import Master, TraceEvent
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
@@ -43,6 +45,9 @@ from ..observability import (
 from .events import EventHandle, EventQueue
 from .network import NetworkModel
 from .pe_models import PEModel
+
+if TYPE_CHECKING:
+    from ..service.core import ServiceCore
 
 __all__ = [
     "PESpec",
@@ -303,123 +308,8 @@ class HybridSimulator:
         until it drains, then derives the makespan, per-PE wins, task
         intervals and trace from the master's records.
         """
-        queue = EventQueue()
-        metrics = MetricsRegistry()
-        events = EventLog()
-        if (
-            self.faults is not None
-            and self.faults.master_crash is not None
-            and self.checkpoint_dir is None
-        ):
-            raise ValueError(
-                "a master_crash fault requires checkpoint_dir: without a "
-                "journal there is nothing for the replacement master to "
-                "recover from"
-            )
-        master, store, _ = open_master(
-            tasks,
-            self.checkpoint_dir,
-            sync_every=self.checkpoint_sync_every,
-            compact_every=self.checkpoint_compact_every,
-            policy=self.policy,
-            adjustment=self.adjustment,
-            omega=self.omega,
-            metrics=metrics,
-            events=events,
-            batch=self.batch,
-        )
-        pes = {spec.pe_id: _SimPE(spec) for spec in self.specs}
-        injector = None
-        heartbeat = self.heartbeat_timeout
-        if self.faults is not None:
-            injector = FaultInjector(
-                self.faults, events=events, clock=lambda: queue.now
-            )
-            if heartbeat is None:
-                heartbeat = 10 * self.notify_interval
-        state = _RunState(
-            queue, master, pes, self, injector, heartbeat or 0.0,
-            tasks=list(tasks), store=store,
-        )
-
-        if injector is not None:
-            if self.faults.master_crash is not None:
-                queue.schedule(
-                    self.faults.master_crash.at_time, state.on_master_crash
-                )
-            for crash in self.faults.crashes:
-                pe = pes.get(crash.pe_id)
-                if pe is not None and crash.at_time is not None:
-                    queue.schedule(
-                        crash.at_time, lambda p=pe: state.on_crash(p)
-                    )
-            for straggler in self.faults.stragglers:
-                pe = pes.get(straggler.pe_id)
-                if pe is None:
-                    continue
-                queue.schedule(
-                    straggler.start, lambda p=pe: state.on_straggle(p)
-                )
-                if straggler.end is not None:
-                    queue.schedule(
-                        straggler.end, lambda p=pe: state.on_straggle(p)
-                    )
-        if heartbeat:
-            queue.schedule(heartbeat / 4, state.on_reap)
-
-        writer: TelemetryWriter | None = None
-        if self.telemetry_path is not None:
-            # Clock-agnostic sampling: the writer is driven by virtual-
-            # time events, not a thread.  The tick reads the master via
-            # ``state`` (a crash replaces ``state.master`` but keeps the
-            # registry) and stops rescheduling once the workload is
-            # finished so the event queue can drain.
-            writer = TelemetryWriter(
-                self.telemetry_path,
-                metrics.snapshot,
-                lambda: queue.now,
-                interval=self.telemetry_interval,
-                environment="des",
-            )
-
-            def telemetry_tick() -> None:
-                assert writer is not None
-                if state.master.finished:
-                    return
-                writer.sample()
-                queue.schedule(
-                    queue.now + writer.interval, telemetry_tick
-                )
-
-            queue.schedule(self.telemetry_interval, telemetry_tick)
-
-        for spec in self.specs:
-            pe = pes[spec.pe_id]
-            if spec.join_time <= 0:
-                master.register(spec.pe_id, 0.0)
-                queue.schedule(
-                    state._uplink(pe), lambda p=pe: state.on_request(p)
-                )
-                queue.schedule(
-                    self.notify_interval, lambda p=pe: state.on_notify(p)
-                )
-            else:
-                queue.schedule(
-                    spec.join_time, lambda p=pe: state.on_join(p)
-                )
-            if spec.leave_time is not None:
-                queue.schedule(
-                    spec.leave_time, lambda p=pe: state.on_leave(p)
-                )
-            for at, capacity in spec.load_profile:
-                queue.schedule(
-                    at, lambda p=pe, c=capacity: state.on_load(p, c)
-                )
-        try:
-            queue.run()
-        finally:
-            if state.store is not None:
-                state.store.close()
+        state = _RunState(self, list(tasks))
+        self._simulate(state)
 
         # A master crash replaces state.master mid-run; everything below
         # must look at the surviving master and the stitched trace.
@@ -432,7 +322,7 @@ class HybridSimulator:
             default=0.0,
         )
         intervals: list[TaskInterval] = []
-        for pe in pes.values():
+        for pe in state.pes.values():
             intervals.extend(pe.intervals)
         tasks_won = {spec.pe_id: 0 for spec in self.specs}
         for task_id in master.results:
@@ -441,11 +331,7 @@ class HybridSimulator:
             tasks_won[winner] += 1
         replicas = sum(1 for e in full_trace if e.kind == "replica")
         total_cells = sum(t.cells for t in tasks)
-        finalize_run_metrics(metrics, makespan, total_cells)
-        if writer is not None:
-            # After finalize, so the stream's ``final`` record matches
-            # the report's ``repro.metrics.v1`` snapshot byte for byte.
-            writer.close()
+        metrics = state.finalize(makespan, total_cells)
         return SimReport(
             makespan=makespan,
             total_cells=total_cells,
@@ -456,33 +342,131 @@ class HybridSimulator:
             policy_name=getattr(self.policy, "name", "custom"),
             adjustment=self.adjustment,
             results=dict(master.results),
-            metrics=metrics.snapshot(),
-            events=events,
+            metrics=metrics,
+            events=state.events,
         )
+
+    def _simulate(
+        self,
+        state: "_RunState",
+        workload: Iterable[tuple[float, Callable[[], None]]] = (),
+    ) -> None:
+        """Bring up, pump and tear down one virtual-time run.
+
+        The one run path behind :meth:`run` and
+        :meth:`ServiceSimulator.run_service`: opens the master, schedules
+        the fault plan, the heartbeat reaper, the telemetry tick and
+        every PE's registration or join/leave/load steps, then the
+        caller's *workload* ``(time, action)`` events (the service's
+        arrivals, drain and sweep), and pumps the queue until it
+        drains.  The queue breaks time ties in insertion order, so this
+        scheduling order is part of the simulated behaviour.
+        """
+        faults = self.faults
+        if (
+            faults is not None
+            and faults.master_crash is not None
+            and self.checkpoint_dir is None
+        ):
+            raise ValueError(
+                "a master_crash fault requires checkpoint_dir: without a "
+                "journal there is nothing for the replacement master to "
+                "recover from"
+            )
+        queue = state.queue
+        pes = state.pes
+        state.open()
+
+        if state.injector is not None:
+            if faults.master_crash is not None:
+                queue.schedule(
+                    faults.master_crash.at_time, state.on_master_crash
+                )
+            for crash in faults.crashes:
+                pe = pes.get(crash.pe_id)
+                if pe is not None and crash.at_time is not None:
+                    queue.schedule(
+                        crash.at_time, lambda p=pe: state.on_crash(p)
+                    )
+            for straggler in faults.stragglers:
+                pe = pes.get(straggler.pe_id)
+                if pe is None:
+                    continue
+                queue.schedule(
+                    straggler.start, lambda p=pe: state.on_straggle(p)
+                )
+                if straggler.end is not None:
+                    queue.schedule(
+                        straggler.end, lambda p=pe: state.on_straggle(p)
+                    )
+        if state.heartbeat:
+            queue.schedule(state.heartbeat / 4, state.on_reap)
+
+        if self.telemetry_path is not None:
+            # Clock-agnostic sampling: the writer is driven by virtual-
+            # time events (:meth:`_RunState.on_telemetry`), not a thread.
+            state.writer = TelemetryWriter(
+                self.telemetry_path,
+                state.metrics.snapshot,
+                lambda: queue.now,
+                interval=self.telemetry_interval,
+                environment="des",
+            )
+            queue.schedule(self.telemetry_interval, state.on_telemetry)
+
+        for spec in self.specs:
+            pe = pes[spec.pe_id]
+            if spec.join_time <= 0:
+                state.enroll(pe)
+            else:
+                queue.schedule(
+                    spec.join_time, lambda p=pe: state.on_join(p)
+                )
+            if spec.leave_time is not None:
+                queue.schedule(
+                    spec.leave_time, lambda p=pe: state.on_leave(p)
+                )
+            for at, capacity in spec.load_profile:
+                queue.schedule(
+                    at, lambda p=pe, c=capacity: state.on_load(p, c)
+                )
+        for at, action in workload:
+            queue.schedule(at, action)
+        try:
+            queue.run()
+        finally:
+            if state.store is not None:
+                state.store.close()
 
 
 class _RunState:
-    """Event handlers binding the master to the virtual PEs."""
+    """Event handlers binding the master to the virtual PEs.
 
-    def __init__(
-        self,
-        queue: EventQueue,
-        master: Master,
-        pes: dict[str, _SimPE],
-        config: HybridSimulator,
-        injector: FaultInjector | None = None,
-        heartbeat: float = 0.0,
-        tasks: list[Task] | None = None,
-        store: CheckpointStore | None = None,
-    ):
-        self.queue = queue
-        self.master = master
-        self.pes = pes
+    Owns what one run shares across master incarnations: the virtual
+    clock and event queue, the metrics registry and event log (a
+    master crash keeps them — they model persistent telemetry sinks),
+    the virtual PEs and the fault injector.
+    """
+
+    def __init__(self, config: HybridSimulator, tasks: list[Task]):
         self.config = config
-        self.injector = injector
-        self.heartbeat = heartbeat
-        self.tasks = tasks if tasks is not None else []
-        self.store = store
+        self.tasks = tasks
+        self.queue = EventQueue()
+        self.metrics = MetricsRegistry()
+        self.events = EventLog()
+        self.pes = {spec.pe_id: _SimPE(spec) for spec in config.specs}
+        self.injector: FaultInjector | None = None
+        heartbeat = config.heartbeat_timeout
+        if config.faults is not None:
+            self.injector = FaultInjector(
+                config.faults, events=self.events, clock=lambda: self.queue.now
+            )
+            if heartbeat is None:
+                heartbeat = 10 * config.notify_interval
+        self.heartbeat = heartbeat or 0.0
+        self.master: Master
+        self.store: CheckpointStore | None = None
+        self.writer: TelemetryWriter | None = None
         #: Trace of masters that crashed, stitched before the survivor's.
         self.trace_prefix: list[TraceEvent] = []
         #: The master is unreachable until this virtual time (a
@@ -490,6 +474,42 @@ class _RunState:
         self.master_down_until = 0.0
         self._master_free_at = 0.0  # serial master-CPU availability
         self._pending_restarts = 0  # keeps the reaper alive across gaps
+
+    def open(self, now: float = 0.0):
+        """Open the master: at t=0, and again after a master crash.
+
+        With a checkpoint directory the journal is opened (or resumed)
+        and every journaled winning result restored at *now*, so a
+        replacement master never re-executes a finished task.  Returns
+        the recovered journal state (``None`` without a directory).
+        """
+        config = self.config
+        self.master, self.store, recovered = open_master(
+            self.tasks,
+            config.checkpoint_dir,
+            sync_every=config.checkpoint_sync_every,
+            compact_every=config.checkpoint_compact_every,
+            now=now,
+            policy=config.policy,
+            adjustment=config.adjustment,
+            omega=config.omega,
+            metrics=self.metrics,
+            events=self.events,
+            batch=config.batch,
+        )
+        return recovered
+
+    def finalize(self, makespan: float, total_cells: int) -> dict:
+        """Finalize the run metrics and the telemetry stream.
+
+        Returns the ``repro.metrics.v1`` snapshot; the stream closes
+        after finalize, so its ``final`` record matches that snapshot
+        byte for byte.
+        """
+        finalize_run_metrics(self.metrics, makespan, total_cells)
+        if self.writer is not None:
+            self.writer.close()
+        return self.metrics.snapshot()
 
     def _master_down(self) -> bool:
         return self.queue.now < self.master_down_until
@@ -529,8 +549,18 @@ class _RunState:
             pe.processed += usable
         pe.last_update = now
 
-    def _schedule_completion(self, pe: _SimPE) -> None:
+    def _retime(self, pe: _SimPE) -> None:
+        """Re-derive the in-flight task's rate, reschedule its completion.
+
+        The rate is the model's task rate scaled by the external load
+        (``capacity``) and any straggler window (``fault_factor``).
+        """
         assert pe.current is not None
+        pe.rate = (
+            pe.spec.model.task_rate(pe.current)
+            * pe.capacity
+            * pe.fault_factor
+        )
         if pe.completion is not None:
             pe.completion.cancel()
             pe.completion = None
@@ -555,10 +585,9 @@ class _RunState:
             pe.done_work = pe.total_work * self._checkpoint_fraction(
                 task, exclude=pe
             )
-        pe.rate = model.task_rate(task) * pe.capacity * pe.fault_factor
         pe.task_start = self.queue.now
         pe.last_update = self.queue.now
-        self._schedule_completion(pe)
+        self._retime(pe)
 
     def _checkpoint_fraction(self, task, exclude: _SimPE) -> float:
         """Progress fraction of the task's most-advanced other executor.
@@ -809,21 +838,8 @@ class _RunState:
             # stale, exactly as on a real network.
             return
         if pe.current is not None and pe.current.task_id == task_id:
-            self._advance(pe)
-            if pe.completion is not None:
-                pe.completion.cancel()
-                pe.completion = None
-            pe.intervals.append(
-                TaskInterval(
-                    pe_id=pe.pe_id,
-                    task_id=task_id,
-                    start=pe.task_start,
-                    end=self.queue.now,
-                    outcome="cancelled",
-                )
-            )
+            self._abort(pe)
             self.master.on_cancelled(pe.pe_id, task_id, self.queue.now)
-            pe.current = None
             self._become_idle(pe)
             return
         for queued in list(pe.queue):
@@ -888,30 +904,8 @@ class _RunState:
             lambda p=pe: self.on_notify(p),
         )
 
-    def on_join(self, pe: _SimPE) -> None:
-        """Platform churn: a PE arrives mid-run and registers."""
-        if self.master.finished:
-            pe.finished = True
-            return
-        if self._master_down():
-            self.queue.schedule(
-                self.master_down_until, lambda p=pe: self.on_join(p)
-            )
-            return
-        now = self.queue.now
-        self.master.register(pe.pe_id, now)
-        self.queue.schedule(
-            now + self._uplink(pe), lambda p=pe: self.on_request(p)
-        )
-        self.queue.schedule(
-            now + self.config.notify_interval, lambda p=pe: self.on_notify(p)
-        )
-
-    def on_leave(self, pe: _SimPE) -> None:
-        """Platform churn: a PE departs; its tasks go back to READY."""
-        if pe.finished:
-            return
-        pe.finished = True  # stops notify/request events
+    def _abort(self, pe: _SimPE) -> None:
+        """Stop the in-flight task and record its ``cancelled`` interval."""
         if pe.completion is not None:
             pe.completion.cancel()
             pe.completion = None
@@ -927,6 +921,36 @@ class _RunState:
                 )
             )
             pe.current = None
+
+    def enroll(self, pe: _SimPE) -> None:
+        """Register *pe*; its first request and notification follow."""
+        now = self.queue.now
+        self.master.register(pe.pe_id, now)
+        self.queue.schedule(
+            now + self._uplink(pe), lambda p=pe: self.on_request(p)
+        )
+        self.queue.schedule(
+            now + self.config.notify_interval, lambda p=pe: self.on_notify(p)
+        )
+
+    def on_join(self, pe: _SimPE) -> None:
+        """Platform churn: a PE arrives mid-run and registers."""
+        if self.master.finished:
+            pe.finished = True
+            return
+        if self._master_down():
+            self.queue.schedule(
+                self.master_down_until, lambda p=pe: self.on_join(p)
+            )
+            return
+        self.enroll(pe)
+
+    def on_leave(self, pe: _SimPE) -> None:
+        """Platform churn: a PE departs; its tasks go back to READY."""
+        if pe.finished:
+            return
+        pe.finished = True  # stops notify/request events
+        self._abort(pe)
         pe.queue.clear()
         if self.master.is_registered(pe.pe_id):
             # A recovered master may not have heard from this PE yet (it
@@ -940,12 +964,7 @@ class _RunState:
         self._advance(pe)
         pe.capacity = capacity
         if pe.current is not None:
-            pe.rate = (
-                pe.spec.model.task_rate(pe.current)
-                * capacity
-                * pe.fault_factor
-            )
-            self._schedule_completion(pe)
+            self._retime(pe)
 
     # -- fault handlers ---------------------------------------------------
     def on_crash(self, pe: _SimPE) -> None:
@@ -962,21 +981,7 @@ class _RunState:
         if not self.injector.mark_crashed(pe.pe_id, now):
             return
         pe.finished = True
-        if pe.completion is not None:
-            pe.completion.cancel()
-            pe.completion = None
-        if pe.current is not None:
-            self._advance(pe)
-            pe.intervals.append(
-                TaskInterval(
-                    pe_id=pe.pe_id,
-                    task_id=pe.current.task_id,
-                    start=pe.task_start,
-                    end=now,
-                    outcome="cancelled",
-                )
-            )
-            pe.current = None
+        self._abort(pe)
         pe.queue.clear()
         spec = self.injector.crash_spec(pe.pe_id)
         if spec is not None and spec.restart_after is not None:
@@ -1001,19 +1006,12 @@ class _RunState:
             # The reaper never noticed the crash; retire the stale
             # incarnation (releasing any tasks it still held) first.
             self.master.deregister(pe.pe_id, now, reason="restart")
-        self.master.register(pe.pe_id, now)
         pe.finished = False
         pe.current = None
         pe.completion = None
         pe.queue.clear()
         pe.tasks_completed = 0
-        self.queue.schedule(
-            now + self._uplink(pe), lambda p=pe: self.on_request(p)
-        )
-        self.queue.schedule(
-            now + self.config.notify_interval,
-            lambda p=pe: self.on_notify(p),
-        )
+        self.enroll(pe)
 
     def on_straggle(self, pe: _SimPE) -> None:
         """A straggler window opens or closes: re-time in-flight work."""
@@ -1024,12 +1022,7 @@ class _RunState:
             pe.pe_id, self.queue.now
         )
         if pe.current is not None and not pe.finished:
-            pe.rate = (
-                pe.spec.model.task_rate(pe.current)
-                * pe.capacity
-                * pe.fault_factor
-            )
-            self._schedule_completion(pe)
+            self._retime(pe)
 
     def on_master_crash(self) -> None:
         """The plan's ``master_crash`` fault fires: the brain dies.
@@ -1059,28 +1052,9 @@ class _RunState:
         never re-executed.  Slaves re-register lazily on their next
         request, exactly like reaped PEs.
         """
-        now = self.queue.now
-        dead = self.master
-        self.trace_prefix.extend(dead.trace)
+        self.trace_prefix.extend(self.master.trace)
         self.store.close()
-        self.master, self.store, _ = self._reopen_master(dead, now)
-
-    def _reopen_master(self, dead: Master, now: float):
-        """Recover a replacement for *dead* from the checkpoint directory."""
-        config = self.config
-        return open_master(
-            self.tasks,
-            config.checkpoint_dir,
-            sync_every=config.checkpoint_sync_every,
-            compact_every=config.checkpoint_compact_every,
-            now=now,
-            policy=config.policy,
-            adjustment=config.adjustment,
-            omega=config.omega,
-            metrics=dead.metrics,
-            events=dead.events,
-            batch=config.batch,
-        )
+        self.open(self.queue.now)
 
     def on_reap(self) -> None:
         """Periodic heartbeat sweep: deregister silent PEs.
@@ -1102,6 +1076,20 @@ class _RunState:
             return
         self.queue.schedule(
             self.queue.now + self.heartbeat / 4, self.on_reap
+        )
+
+    def on_telemetry(self) -> None:
+        """Periodic telemetry sample on the virtual clock.
+
+        Reads ``self.master`` (a crash replaces it but keeps the
+        registry) and stops rescheduling once the workload is finished
+        so the event queue can drain.
+        """
+        if self.master.finished:
+            return
+        self.writer.sample()
+        self.queue.schedule(
+            self.queue.now + self.writer.interval, self.on_telemetry
         )
 
 
@@ -1235,9 +1223,10 @@ class _ServiceRunState(_RunState):
     are identical across environments by construction.
     """
 
-    def __init__(self, *args, service, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.service = service
+    def __init__(self, config: "ServiceSimulator", service_config):
+        super().__init__(config, [])
+        self.service_config = service_config
+        self.service: ServiceCore
         self.offered = 0
         self.admitted_cells = 0
         self.shed: dict[str, int] = {}
@@ -1255,6 +1244,9 @@ class _ServiceRunState(_RunState):
             pe = self.pes.get(pe_id)
             if pe is not None:
                 self._cancel(pe, task_id)
+        self._note_drained()
+
+    def _note_drained(self) -> None:
         if self.service.drained and self.drained_at is None:
             self.drained_at = self.queue.now
 
@@ -1313,33 +1305,29 @@ class _ServiceRunState(_RunState):
         # completion instant, and the freed window refills.
         self.service_tick()
 
-    def on_master_recover(self) -> None:
-        """Cold-restart the service master from the journal pair.
+    def open(self, now: float = 0.0):
+        """Open the master, then the service over it.
 
-        Extends the base recovery with the service journal: a fresh
-        :class:`~repro.service.core.ServiceCore` is rebuilt via
-        :meth:`~repro.service.core.ServiceCore.recover` — requests the
-        dead service had finished readopt their journaled results,
-        unfinished ones re-enter the fair queue with their original
-        deadlines, and ones that expired during the outage are
-        cancelled loudly.  Nothing is carried over in memory.
+        After a master crash this cold-restarts the service from the
+        journal pair (:meth:`~repro.service.core.ServiceCore.open`):
+        requests the dead service had finished readopt their journaled
+        results, unfinished ones re-enter the fair queue with their
+        original deadlines, and ones that expired during the outage
+        are cancelled loudly.  Nothing is carried over in memory.
         """
         from ..service.core import ServiceCore
 
-        now = self.queue.now
-        dead = self.master
-        self.trace_prefix.extend(dead.trace)
-        self.store.close()
-        self.master, self.store, recovered = self._reopen_master(dead, now)
-        self.service = ServiceCore.recover(
-            self.master,
-            self.store,
-            self.service.config,
-            now=now,
-            results={r.task_id: r for r in recovered.results()},
+        recovered = super().open(now)
+        self.service = ServiceCore.open(
+            self.master, self.store, recovered, self.service_config, now=now
         )
-        if self.service.drained and self.drained_at is None:
-            self.drained_at = now
+        return recovered
+
+    def on_master_recover(self) -> None:
+        super().on_master_recover()
+        # A replacement whose journal already holds the whole drain is
+        # drained from its first instant.
+        self._note_drained()
 
 
 class ServiceSimulator(HybridSimulator):
@@ -1373,144 +1361,22 @@ class ServiceSimulator(HybridSimulator):
         service=None,
         drain_at: float | None = None,
     ) -> ServiceSimReport:
-        from ..service.core import ServiceConfig, ServiceCore
+        from ..service.core import ServiceConfig
 
         arrivals = sorted(arrivals, key=lambda a: a.time)
-        queue = EventQueue()
-        metrics = MetricsRegistry()
-        events = EventLog()
-        if (
-            self.faults is not None
-            and self.faults.master_crash is not None
-            and self.checkpoint_dir is None
-        ):
-            raise ValueError(
-                "a master_crash fault requires checkpoint_dir: without "
-                "the journal pair there is nothing for the replacement "
-                "service master to recover from"
-            )
-        master, store, recovered = open_master(
-            [],
-            self.checkpoint_dir,
-            sync_every=self.checkpoint_sync_every,
-            compact_every=self.checkpoint_compact_every,
-            policy=self.policy,
-            adjustment=self.adjustment,
-            omega=self.omega,
-            metrics=metrics,
-            events=events,
-            batch=self.batch,
-        )
-        if store is not None:
-            core = ServiceCore.recover(
-                master,
-                store,
-                service or ServiceConfig(),
-                now=0.0,
-                results={r.task_id: r for r in recovered.results()},
-            )
-        else:
-            core = ServiceCore(master, service or ServiceConfig())
-        pes = {spec.pe_id: _SimPE(spec) for spec in self.specs}
-        injector = None
-        heartbeat = self.heartbeat_timeout
-        if self.faults is not None:
-            injector = FaultInjector(
-                self.faults, events=events, clock=lambda: queue.now
-            )
-            if heartbeat is None:
-                heartbeat = 10 * self.notify_interval
-        state = _ServiceRunState(
-            queue, master, pes, self, injector, heartbeat or 0.0,
-            tasks=[], store=store, service=core,
-        )
-
-        if injector is not None:
-            if self.faults.master_crash is not None:
-                queue.schedule(
-                    self.faults.master_crash.at_time, state.on_master_crash
-                )
-            for crash in self.faults.crashes:
-                pe = pes.get(crash.pe_id)
-                if pe is not None and crash.at_time is not None:
-                    queue.schedule(
-                        crash.at_time, lambda p=pe: state.on_crash(p)
-                    )
-            for straggler in self.faults.stragglers:
-                pe = pes.get(straggler.pe_id)
-                if pe is None:
-                    continue
-                queue.schedule(
-                    straggler.start, lambda p=pe: state.on_straggle(p)
-                )
-                if straggler.end is not None:
-                    queue.schedule(
-                        straggler.end, lambda p=pe: state.on_straggle(p)
-                    )
-        if heartbeat:
-            queue.schedule(heartbeat / 4, state.on_reap)
-
-        writer: TelemetryWriter | None = None
-        if self.telemetry_path is not None:
-            writer = TelemetryWriter(
-                self.telemetry_path,
-                metrics.snapshot,
-                lambda: queue.now,
-                interval=self.telemetry_interval,
-                environment="des",
-            )
-
-            def telemetry_tick() -> None:
-                assert writer is not None
-                if state.master.finished:
-                    return
-                writer.sample()
-                queue.schedule(
-                    queue.now + writer.interval, telemetry_tick
-                )
-
-            queue.schedule(self.telemetry_interval, telemetry_tick)
-
-        for spec in self.specs:
-            pe = pes[spec.pe_id]
-            if spec.join_time <= 0:
-                master.register(spec.pe_id, 0.0)
-                queue.schedule(
-                    state._uplink(pe), lambda p=pe: state.on_request(p)
-                )
-                queue.schedule(
-                    self.notify_interval, lambda p=pe: state.on_notify(p)
-                )
-            else:
-                queue.schedule(
-                    spec.join_time, lambda p=pe: state.on_join(p)
-                )
-            if spec.leave_time is not None:
-                queue.schedule(
-                    spec.leave_time, lambda p=pe: state.on_leave(p)
-                )
-            for at, capacity in spec.load_profile:
-                queue.schedule(
-                    at, lambda p=pe, c=capacity: state.on_load(p, c)
-                )
-
-        for arrival in arrivals:
-            queue.schedule(
-                arrival.time, lambda a=arrival: state.on_arrival(a)
-            )
+        state = _ServiceRunState(self, service or ServiceConfig())
+        workload = [
+            (arrival.time, lambda a=arrival: state.on_arrival(a))
+            for arrival in arrivals
+        ]
         last_arrival = arrivals[-1].time if arrivals else 0.0
         if drain_at is None:
             # Default experiment shape: offered load for the whole
             # horizon, then a graceful drain of whatever was admitted.
             drain_at = last_arrival
-        queue.schedule(drain_at, state.on_drain)
-        queue.schedule(self.notify_interval, state.on_sweep)
-
-        try:
-            queue.run()
-        finally:
-            if state.store is not None:
-                state.store.close()
+        workload.append((drain_at, state.on_drain))
+        workload.append((self.notify_interval, state.on_sweep))
+        self._simulate(state, workload)
 
         # A master crash replaces state.master/state.service mid-run;
         # everything below must look at the survivors.
@@ -1529,9 +1395,7 @@ class ServiceSimulator(HybridSimulator):
                     request.latency
                 )
         drained_at = state.drained_at if state.drained_at is not None else 0.0
-        finalize_run_metrics(metrics, drained_at, state.admitted_cells)
-        if writer is not None:
-            writer.close()
+        metrics = state.finalize(drained_at, state.admitted_cells)
         return ServiceSimReport(
             offered=state.offered,
             admitted=len(core.requests),
@@ -1543,7 +1407,7 @@ class ServiceSimulator(HybridSimulator):
             latencies=latencies,
             requests=dict(core.requests),
             trace=state.trace_prefix + list(master.trace),
-            metrics=metrics.snapshot(),
-            events=events,
+            metrics=metrics,
+            events=state.events,
             unreachable=state.unreachable,
         )

@@ -1,4 +1,4 @@
-"""Unit tests for schedule quality metrics and the metrics registry."""
+"""Schedule quality read off DES event logs, and the metrics registry."""
 
 import json
 import math
@@ -6,84 +6,40 @@ import math
 import pytest
 
 from repro.bench import fig5_schedule, uniform_tasks
-from repro.observability import MetricsRegistry, merge_snapshots
-from repro.simulate import (
-    HybridSimulator,
-    PESpec,
-    UniformModel,
-    schedule_metrics,
-)
-from repro.simulate.des import SimReport, TaskInterval
+from repro.observability import MetricsRegistry, analyze_events, merge_snapshots
+from repro.simulate import HybridSimulator, PESpec, UniformModel
 
 
-def report_with(intervals, makespan=10.0, tasks_won=None):
-    return SimReport(
-        makespan=makespan,
-        total_cells=0,
-        tasks_won=tasks_won or {},
-        replicas_assigned=0,
-        intervals=intervals,
-        trace=[],
-        policy_name="pss",
-        adjustment=True,
-    )
-
-
-class TestAccounting:
-    def test_busy_and_waste_split(self):
-        intervals = [
-            TaskInterval("a", 0, 0.0, 4.0, "won"),
-            TaskInterval("a", 1, 4.0, 6.0, "cancelled"),
-            TaskInterval("b", 1, 0.0, 10.0, "won"),
-        ]
-        metrics = schedule_metrics(report_with(intervals))
-        assert metrics.per_pe["a"].busy_seconds == pytest.approx(6.0)
-        assert metrics.per_pe["a"].useful_seconds == pytest.approx(4.0)
-        assert metrics.per_pe["a"].wasted_seconds == pytest.approx(2.0)
-        assert metrics.per_pe["a"].efficiency == pytest.approx(4 / 6)
-        assert metrics.per_pe["b"].efficiency == pytest.approx(1.0)
-
-    def test_mean_utilization(self):
-        intervals = [
-            TaskInterval("a", 0, 0.0, 5.0, "won"),
-            TaskInterval("b", 1, 0.0, 10.0, "won"),
-        ]
-        metrics = schedule_metrics(report_with(intervals, makespan=10.0))
-        assert metrics.mean_utilization == pytest.approx(0.75)
-
-    def test_finish_spread(self):
-        intervals = [
-            TaskInterval("a", 0, 0.0, 5.0, "won"),
-            TaskInterval("b", 1, 0.0, 9.0, "won"),
-        ]
-        metrics = schedule_metrics(report_with(intervals))
-        assert metrics.finish_spread == pytest.approx(4.0)
-
-    def test_empty_report(self):
-        metrics = schedule_metrics(report_with([], makespan=0.0))
-        assert metrics.mean_utilization == 0.0
-        assert metrics.replica_waste_fraction == 0.0
-        assert metrics.finish_spread == 0.0
+def finish_spread(analysis):
+    """Latest minus earliest per-PE finishing time — the tail."""
+    finishes = [
+        max(interval.end for interval in timeline.intervals)
+        for timeline in analysis.timelines.values()
+        if timeline.intervals
+    ]
+    return max(finishes) - min(finishes) if len(finishes) > 1 else 0.0
 
 
 class TestOnRealSchedules:
     def test_fig5_waste_only_with_adjustment(self):
         result = fig5_schedule()
-        with_adj = schedule_metrics(result.with_adjustment)
-        without = schedule_metrics(result.without_adjustment)
-        assert with_adj.replica_waste_fraction > 0.0
-        assert without.replica_waste_fraction == 0.0
+        with_adj = analyze_events(result.with_adjustment.events)
+        without = analyze_events(result.without_adjustment.events)
+        assert with_adj.replica_waste_ratio > 0.0
+        assert without.replica_waste_ratio == 0.0
         # The mechanism trades wasted SSE cycles for a shorter tail.
         assert with_adj.makespan < without.makespan
-        assert with_adj.finish_spread <= without.finish_spread
+        assert finish_spread(with_adj) <= finish_spread(without)
 
     def test_single_pe_fully_utilized(self):
         report = HybridSimulator(
             [PESpec("solo", UniformModel(rate=1.0))], comm_latency=0.0
         ).run(uniform_tasks(5, cells=2))
-        metrics = schedule_metrics(report)
-        assert metrics.mean_utilization == pytest.approx(1.0, abs=0.01)
-        assert metrics.per_pe["solo"].efficiency == 1.0
+        analysis = analyze_events(report.events)
+        assert analysis.timelines["solo"].utilization == pytest.approx(
+            1.0, abs=0.01
+        )
+        assert analysis.replica_waste_ratio == 0.0
 
 
 class TestHistogramNaN:

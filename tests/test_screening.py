@@ -306,8 +306,9 @@ KERNEL_MATRICES = {
         -1, -2, alphabet=PROTEIN, wildcard_score=-1
     ),
 }
-# A small alphabet makes matches, and so capped scores, common.
-kernel_residues = st.text(alphabet="ARNDWY", min_size=0, max_size=14)
+# A small alphabet makes matches, and so capped scores, common; X is
+# the protein wildcard.
+kernel_residues = st.text(alphabet="ARNDWYX", min_size=0, max_size=14)
 
 
 class TestLaneSweepKernel:
@@ -331,8 +332,10 @@ class TestLaneSweepKernel:
         gaps=gap_models,
         matrix_name=st.sampled_from(sorted(KERNEL_MATRICES)),
     )
-    # Two inputs no other suite has: an empty query (alone, and inside
-    # a stack), and a matrix under which every local score is 0.
+    # Three inputs no other suite has: an empty query (alone, and inside
+    # a stack), a matrix under which every local score is 0, and
+    # wildcard-only sequences (a query inside a stack whose neighbours
+    # saturate the cap, and a subject).
     @example(
         queries=["", "WWWWWWW", "ARND"],
         subjects=["WWWWWWWWW", "", "NDAR", "Y"],
@@ -344,6 +347,12 @@ class TestLaneSweepKernel:
         subjects=["WWWW", "YWDNRA", "AAAAAA"],
         gaps=affine_gap(1, 0),
         matrix_name="all_negative",
+    )
+    @example(
+        queries=["WWWX", "XXXXX", "ARNDX"],
+        subjects=["XXXXXXX", "WWWWARND", "X"],
+        gaps=affine_gap(10, 2),
+        matrix_name="match90",
     )
     @settings(max_examples=25, deadline=None)
     def test_matches_reference(

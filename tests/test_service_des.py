@@ -7,10 +7,13 @@ loud shedding above it, deadline-expiry cancels, graceful drain — on a
 clock where an hour of service costs milliseconds.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.faults import CrashFault, FaultPlan
+from repro.faults import CrashFault, FaultPlan, StragglerFault
+from repro.observability import read_telemetry
 from repro.service import ServiceConfig
 from repro.simulate import (
     PESpec,
@@ -216,6 +219,66 @@ class TestChaos:
             if e.get("kind") == "service_recovery"
         ]
         assert len(recovery) == 1 and recovery[0]["readmitted"] >= 0
+
+
+class TestSharedRunFeatures:
+    """run_service on the features it shares with HybridSimulator.run.
+
+    A straggler window, a late joiner, a leaver and a load step all in
+    one seeded service run, with the telemetry stream on.
+    """
+
+    def run_once(self, path):
+        pes = [
+            PESpec("pe0", UniformModel(rate=1e6)),
+            PESpec("pe1", UniformModel(rate=1e6), join_time=3.0),
+            PESpec("pe2", UniformModel(rate=1e6), leave_time=6.0),
+            PESpec(
+                "pe3", UniformModel(rate=1e6),
+                load_profile=((2.0, 0.5), (7.0, 1.0)),
+            ),
+        ]
+        plan = FaultPlan(
+            stragglers=(
+                StragglerFault("pe0", factor=0.25, start=1.0, end=8.0),
+            )
+        )
+        sim = ServiceSimulator(
+            pes, database_residues=10_000, faults=plan,
+            telemetry_path=str(path), telemetry_interval=0.5,
+        )
+        arrivals = service_arrivals(
+            3.0, 12.0, np.random.default_rng(21), tenants=("a", "b")
+        )
+        return sim.run_service(arrivals, ServiceConfig(max_queue_depth=64))
+
+    def test_straggler_churn_load_and_telemetry(self, tmp_path):
+        report = self.run_once(tmp_path / "first.jsonl")
+        assert report.admitted > 0 and report.drained_at > 0.0
+        assert all(
+            request.state in ("done", "expired", "cancelled")
+            for request in report.requests.values()
+        )
+        assert (report.completed + report.expired + report.cancelled
+                == report.admitted)
+        events = list(report.events)
+        kinds = {e["kind"] for e in events}
+        assert {"fault_straggle", "deregister"} <= kinds
+        assert any(
+            e["kind"] == "register" and e["pe"] == "pe1"
+            and e["time"] == 3.0
+            for e in events
+        )
+        final = read_telemetry(str(tmp_path / "first.jsonl"))[-1]
+        assert final["record"] == "final"
+        assert json.dumps(final["snapshot"], sort_keys=True) == json.dumps(
+            report.metrics, sort_keys=True
+        )
+
+        again = self.run_once(tmp_path / "second.jsonl")
+        assert again.to_dict() == report.to_dict()
+        assert again.metrics == report.metrics
+        assert list(again.events) == events
 
 
 class TestFairness:
