@@ -7,17 +7,17 @@ several **queries** share one sweep over the packed database, so the
 database conversion, the lane bookkeeping, and the Python-level loop
 overhead are all paid once per batch instead of once per query.
 
-This module stacks query profiles into a 3-D ``(lanes, m, queries)``
-sweep:
+This module stacks query profiles into one query-major sweep:
 
 * each query's padded profile becomes one slab of a
   ``(alphabet + 1, m_max, Q)`` tensor (:class:`MultiQueryProfile`);
   queries shorter than ``m_max`` are padded with the same strongly
   negative sentinel rows used for subject-lane padding;
 * the sweep is the package's one lane kernel
-  (:mod:`repro.align.intersequence`) with ``Q`` stacked queries: every
-  numpy op broadcasts over all ``lanes x m x Q`` cells, and the lazy-F
-  prefix scan runs jointly over all lanes *and* queries.
+  (:mod:`repro.align.intersequence`) with ``Q`` stacked queries: its
+  state is ``(lanes, Q, m)``, query position innermost, so every numpy
+  op covers all ``lanes x Q x m`` cells in one contiguous run, and the
+  lazy-F prefix scan runs along each (lane, query) row at once.
 
 Padding is provably inert: a padded query row can only be reached
 through a gap that subtracts a positive open penalty from an H value

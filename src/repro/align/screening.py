@@ -15,9 +15,9 @@ This module is that pipeline for the numpy engines:
   the 32-lane exact sweep;
 * :func:`sw_screen_batch` (and the multi-query
   :func:`sw_screen_batch_multi`) run the package's one lane sweep
-  (:mod:`repro.align.intersequence`) in **int32 with
-  scores clipped to ``[0, cap]``** — the numpy analogue of 8-bit
-  saturating SIMD registers.  Any clipping event forces some H cell to
+  (:mod:`repro.align.intersequence`) with **scores clipped to
+  ``[0, cap]``** — the numpy analogue of 8-bit saturating SIMD
+  registers.  Any clipping event forces some H cell to
   equal the cap, so ``best >= cap`` exactly characterizes the lanes
   whose screened score is a lower bound; every other lane's screened
   score is *bit-exact* (no clip ever fired on its column);
@@ -202,9 +202,10 @@ def build_screen_profile(
 ) -> np.ndarray:
     """int32 padded query profile for the screening sweep.
 
-    int32, not int16: the lazy-F ramp adds up to ``m * extend`` to a
-    cell, which can overflow int16 for long queries; int32 still halves
-    the memory traffic of the exact kernel's int64 state.
+    int32 is only the profile's storage dtype.  The sweep picks its own
+    state dtype per call from a static bound (``cap`` plus the lazy-F
+    ramp ``m * extend + open``): int16 for a 255 cap unless the query
+    is thousands of residues long, int32 beyond that.
     """
     return _build_profile([query_codes], matrix, np.int32)[:, :, 0]
 

@@ -426,7 +426,7 @@ class Master:
 
     def on_complete(
         self, pe_id: str, result: TaskResult, now: float
-    ) -> frozenset[str]:
+    ) -> tuple[str, ...]:
         """A slave finished a task; returns the PEs to cancel.
 
         The first completion wins and its result is merged; a stale
@@ -454,7 +454,7 @@ class Master:
             self._inst.tasks_completed.labels(
                 pe=pe_id, outcome="unknown"
             ).inc()
-            return frozenset()
+            return ()
         first, losers = self.pool.complete(
             result.task_id, pe_id, adopt=True
         )
@@ -563,7 +563,7 @@ class Master:
 
     def abandon(
         self, task_id: int, now: float = 0.0, reason: str = "deadline"
-    ) -> frozenset[str]:
+    ) -> tuple[str, ...]:
         """Retire a task without computing it (expiry / client cancel).
 
         The scheduler half of deadline propagation: a READY task is
@@ -576,7 +576,7 @@ class Master:
         """
         executors = self.pool.abandon(task_id)
         if executors is None:
-            return frozenset()
+            return ()
         self._record("abandon", now, "service", task_id, reason=reason)
         for pe_id in executors:
             self._record(

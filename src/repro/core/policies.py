@@ -169,7 +169,7 @@ class WeightedFixed(AllocationPolicy):
     def batch_size(self, ctx: PolicyContext) -> int:
         weight = self.weights.get(ctx.pe_id, 1.0)
         fleet = set(self.weights) | set(ctx.tasks_already_assigned)
-        total_weight = sum(self.weights.get(pe, 1.0) for pe in fleet)
+        total_weight = sum(self.weights.get(pe, 1.0) for pe in sorted(fleet))
         if total_weight <= 0:
             return min(1, ctx.ready_tasks)
         share = int(-(-(ctx.total_tasks * weight) // total_weight))  # ceil

@@ -258,20 +258,21 @@ class TaskPool:
         self._records[task.task_id] = _TaskRecord(task)
         self._ready.insert(0, task.task_id)  # back of the FIFO
 
-    def abandon(self, task_id: int) -> frozenset[str] | None:
+    def abandon(self, task_id: int) -> tuple[str, ...] | None:
         """Retire *task_id* without a result (deadline expiry / cancel).
 
         The task transitions straight to FINISHED with ``finished_by``
         ``None`` — FINISHED is absorbing, so a late completion from a
         still-running executor is stale and its result is dropped,
         exactly like losing a replica race.  Returns the executors that
-        must now be told to stop, or ``None`` when the task already
-        finished (the completion beat the deadline: its result stands).
+        must now be told to stop, sorted, or ``None`` when the task
+        already finished (the completion beat the deadline: its result
+        stands).
         """
         record = self._records[task_id]
         if record.state is TaskState.FINISHED:
             return None
-        executors = frozenset(record.executors)
+        executors = tuple(sorted(record.executors))
         if record.state is TaskState.READY:
             self._ready.remove(task_id)
         record.state = TaskState.FINISHED
@@ -316,13 +317,14 @@ class TaskPool:
 
     def complete(
         self, task_id: int, pe_id: str, adopt: bool = False
-    ) -> tuple[bool, frozenset[str]]:
+    ) -> tuple[bool, tuple[str, ...]]:
         """Record that *pe_id* finished *task_id*.
 
         Returns ``(first, losers)``: *first* is False for a stale
         completion (another executor won the race — the result must be
-        discarded), and *losers* is the set of other PEs whose replicas
-        should now be cancelled.
+        discarded), and *losers* are the other PEs whose replicas should
+        now be cancelled, sorted so every caller acts on them in the
+        same order in every process.
 
         With ``adopt=True`` a completion from a PE that is *not* a
         registered executor of an unfinished task is accepted instead
@@ -334,7 +336,7 @@ class TaskPool:
         """
         record = self._records[task_id]
         if record.state is TaskState.FINISHED:
-            return False, frozenset()
+            return False, ()
         if pe_id not in record.executors:
             if not adopt:
                 raise TaskPoolError(
@@ -345,7 +347,7 @@ class TaskPool:
             record.executors.add(pe_id)
         record.state = TaskState.FINISHED
         record.finished_by = pe_id
-        losers = frozenset(record.executors - {pe_id})
+        losers = tuple(sorted(record.executors - {pe_id}))
         record.executors = {pe_id}
         return True, losers
 

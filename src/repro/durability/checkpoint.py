@@ -622,7 +622,7 @@ class CheckpointStore:
         self,
         result: TaskResult,
         first: bool,
-        losers: frozenset[str],
+        losers: tuple[str, ...],
         now: float,
     ) -> None:
         if not first:
@@ -630,7 +630,7 @@ class CheckpointStore:
         record = _complete_record(result, now)
         self._append(record)
         self._finished[result.task_id] = record
-        for loser in sorted(losers):
+        for loser in losers:
             self._append(
                 {"type": "cancel", "time": now, "pe": loser,
                  "task": result.task_id}

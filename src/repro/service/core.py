@@ -764,7 +764,7 @@ class ServiceCore:
                 request.task.task_id, now=now, reason=outcome
             )
             cancels = tuple(
-                (pe_id, request.task.task_id) for pe_id in sorted(executors)
+                (pe_id, request.task.task_id) for pe_id in executors
             )
             self._inflight_cells -= request.task.cells
             self._by_task.pop(request.task.task_id, None)

@@ -228,7 +228,7 @@ class TestReplicaRaceWithFailures:
                        cells=10),
             now=101.0,
         )
-        assert losers == frozenset()
+        assert losers == ()
         assert master.pool.finished_by(task.task_id) == "new"
 
     def test_original_dies_replica_wins(self):
@@ -244,7 +244,7 @@ class TestReplicaRaceWithFailures:
                        cells=10),
             now=1.0,
         )
-        assert losers == frozenset()
+        assert losers == ()
         assert master.pool.finished_by(task.task_id) == "rep"
         assert master.pool.all_finished
 
@@ -259,7 +259,7 @@ class TestReplicaRaceWithFailures:
                        cells=10),
             now=1.0,
         )
-        assert losers == frozenset()
+        assert losers == ()
         assert master.pool.finished_by(task.task_id) == "orig"
 
     def test_dead_original_result_adopted_if_it_arrives_first(self):
@@ -275,7 +275,7 @@ class TestReplicaRaceWithFailures:
                        cells=10),
             now=0.6,
         )
-        assert losers == frozenset({"rep"})
+        assert losers == ("rep",)
         assert master.pool.finished_by(task.task_id) == "orig"
         # The replica's own (now stale) completion is dropped quietly.
         losers = master.on_complete(
@@ -284,7 +284,7 @@ class TestReplicaRaceWithFailures:
                        cells=10),
             now=0.7,
         )
-        assert losers == frozenset()
+        assert losers == ()
         assert master.pool.finished_by(task.task_id) == "orig"
 
     def test_simulated_crash_of_sole_executor_with_live_replica(self):
@@ -438,7 +438,7 @@ class TestReapWithReplicaTwin:
         master.reap_silent(now=6.0, timeout=3.0)  # reaps a
         # a's completion was in flight: real work, adopt it.
         losers = master.on_complete("a", self._result(0, "a"), 6.5)
-        assert losers == frozenset({"b"})
+        assert losers == ("b",)
         assert master.finished
         assert master.results[0].pe_id == "a"
 

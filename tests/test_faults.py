@@ -211,7 +211,7 @@ class TestIdempotentPool:
             "w", TaskResult(task_id=task_id, pe_id="w", elapsed=1.0,
                             cells=4), now=101.0,
         )
-        assert losers == frozenset()
+        assert losers == ()
         assert master.pool.finished_by(task_id) == "w"
 
     def test_duplicate_completion_is_stale(self):

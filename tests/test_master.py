@@ -108,7 +108,7 @@ class TestWorkloadAdjustment:
         master.on_request("pe1", 1.0)  # replica of some task on pe1
         replica_id = master.pending_of("pe1")[0]
         losers = master.on_complete("pe1", result_for(replica_id, "pe1"), 2.0)
-        assert losers == frozenset({"pe0"})
+        assert losers == ("pe0",)
         assert master.results[replica_id].pe_id == "pe1"
 
     def test_stale_completion_not_merged(self, master):

@@ -131,3 +131,64 @@ class TestThreadedStraggleAccountingRegression:
         assert len(intervals) == len(elapsed) == len(queries)
         for interval, total in zip(intervals, elapsed):
             assert interval >= 0.75 * total
+
+
+class TestReplicaLoserOrderRegression:
+    """Found by running one DES grid under two ``PYTHONHASHSEED`` values.
+
+    ``TaskPool.complete`` returned replica losers as a ``frozenset`` of
+    PE-id strings, and the master and the DES iterated it, so the order
+    of ``cancel`` events — and under faults the virtual makespan —
+    depended on the interpreter's string-hash seed.  A 4 GPU + 4 SSE
+    platform under random fault plans with restarts differed for every
+    plan seed between hash seeds 0 and 77, in ``run`` and in
+    ``run_service`` alike.
+    """
+
+    SCRIPT = """
+import json
+import sys
+
+import numpy as np
+
+from repro.bench.workloads import paper_workloads
+from repro.faults import FaultPlan
+from repro.simulate.des import (
+    HybridSimulator,
+    ServiceSimulator,
+    service_arrivals,
+)
+from repro.simulate.platform import hybrid_platform
+
+pes = hybrid_platform(4, 4)
+ids = [spec.pe_id for spec in pes]
+tasks = paper_workloads(12)["UniProtDB/SwissProt"]
+for seed in range(5):
+    plan = FaultPlan.random(ids, seed=seed, allow_restarts=True)
+    sys.stdout.write(HybridSimulator(pes, faults=plan).run(tasks).to_json())
+for seed in range(3):
+    plan = FaultPlan.random(ids, seed=seed, allow_restarts=True)
+    arrivals = service_arrivals(6.0, 20.0, np.random.default_rng(seed))
+    report = ServiceSimulator(pes, faults=plan).run_service(arrivals)
+    sys.stdout.write(json.dumps(report.to_dict()))
+"""
+
+    def _run(self, hash_seed: str) -> bytes:
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            check=True,
+            capture_output=True,
+        ).stdout
+
+    def test_same_bytes_under_different_hash_seeds(self):
+        first = self._run("0")
+        assert first
+        assert self._run("77") == first

@@ -131,7 +131,7 @@ class TestTaskPoolExtensions:
 
     def test_abandon_ready(self):
         pool = TaskPool([make_task(0)])
-        assert pool.abandon(0) == frozenset()
+        assert pool.abandon(0) == ()
         assert pool.state(0) is TaskState.FINISHED
         assert pool.finished_by(0) is None
         assert pool.all_finished
@@ -139,7 +139,7 @@ class TestTaskPoolExtensions:
     def test_abandon_executing_returns_executors(self):
         pool = TaskPool([make_task(0)])
         pool.acquire("pe1", 1)
-        assert pool.abandon(0) == frozenset({"pe1"})
+        assert pool.abandon(0) == ("pe1",)
 
     def test_abandon_finished_is_none(self):
         pool = TaskPool([make_task(0)])
@@ -178,7 +178,7 @@ class TestMasterServing:
         master.add_tasks([make_task(7)], now=0.0)
         master.on_request("pe", 0.1)
         executors = master.abandon(7, now=0.5, reason="deadline")
-        assert executors == frozenset({"pe"})
+        assert executors == ("pe",)
         kinds = [e.kind for e in master.trace]
         assert "abandon" in kinds and "cancel" in kinds
 

@@ -272,6 +272,60 @@ class TestStoreBackedCaches:
         assert engine.pack_cache.store is not None
 
 
+class TestInt64ProfileCompatibility:
+    """Stores written before the sweep narrowed its state still search.
+
+    ``repro.packstore.v1`` stores ``padded`` profiles as int64
+    ``(A+1, m)`` arrays whose pad row and pad positions hold ``-2**40``.
+    The sweep narrows a profile to its int16/int32 state on entry, so a
+    warm search through such a store must give a cold search's hits,
+    byte for byte: one query runs in int16 and one in int32.
+    """
+
+    def test_warm_search_through_int64_profiles(self, tmp_path, monkeypatch):
+        import dataclasses
+        import json
+
+        from repro.align.intersequence import DEFAULT_LANES
+        from repro.core import engines
+
+        rng = np.random.default_rng(11)
+        database = random_database(24, 120.0, rng, name="compat-db")
+        queries = [
+            random_sequence(n, rng, seq_id=f"q{n}") for n in (40, 700)
+        ]
+        store = PackStore(tmp_path / "s", create=True)
+        store.put_packs(database, BLOSUM62, lanes=DEFAULT_LANES)
+        for query in queries:
+            codes = BLOSUM62.alphabet.encode(query.residues)
+            padded = np.full(
+                (BLOSUM62.alphabet.size + 1, len(codes)), -(1 << 40),
+                dtype=np.int64,
+            )
+            padded[:-1] = BLOSUM62.profile_for(codes)
+            store.put_profile("padded", codes.tobytes(), BLOSUM62, (), padded)
+            back = store.get_profile("padded", codes.tobytes(), BLOSUM62, ())
+            assert back.dtype == np.int64
+            assert back.tobytes() == padded.tobytes()
+
+        def hits_bytes(engine):
+            return json.dumps([
+                [dataclasses.asdict(hit) for hit in engine.search(q, database)]
+                for q in queries
+            ]).encode()
+
+        cold = hits_bytes(InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, top=10))
+
+        def no_build(*args):
+            raise AssertionError("a warm search reads the stored profile")
+
+        monkeypatch.setattr(engines, "_padded_profile", no_build)
+        warm = InterSequenceEngine(
+            BLOSUM62, DEFAULT_GAPS, top=10, store=str(tmp_path / "s")
+        )
+        assert hits_bytes(warm) == cold
+
+
 # ----------------------------------------------------------------------
 # Corruption properties (mirrors test_durability.py)
 # ----------------------------------------------------------------------

@@ -65,7 +65,7 @@ class TestCompletion:
         pool.acquire("pe0", 1)
         first, losers = pool.complete(0, "pe0")
         assert first
-        assert losers == frozenset()
+        assert losers == ()
         assert pool.state(0) is TaskState.FINISHED
         assert pool.finished_by(0) == "pe0"
 
@@ -122,7 +122,7 @@ class TestReplication:
         pool.assign_replica("pe2", 0)
         first, losers = pool.complete(0, "pe1")
         assert first
-        assert losers == frozenset({"pe0", "pe2"})
+        assert losers == ("pe0", "pe2")
         assert pool.executors(0) == frozenset({"pe1"})
 
 
