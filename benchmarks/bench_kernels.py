@@ -7,8 +7,6 @@ runs on a reduced workload (it is quadratic Python, present as ground
 truth, not as an engine).
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -16,15 +14,12 @@ from repro.align import (
     BLOSUM62,
     DEFAULT_GAPS,
     sw_score_database,
-    sw_score_database_screened,
     sw_score_reference,
     sw_score_scan,
     sw_score_striped,
 )
 from repro.align.hirschberg import align_linear_space
-from repro.sequences import PROTEIN, Sequence, SequenceDatabase, random_database, random_sequence
-
-from conftest import emit
+from repro.sequences import random_database, random_sequence
 
 
 @pytest.fixture(scope="module")
@@ -120,92 +115,6 @@ def test_kernel_banded(benchmark, workload):
 
     scores = benchmark.pedantic(run, rounds=2, iterations=1)
     assert len(scores) == len(database)
-
-
-def _skewed_workload():
-    """The screening pipeline's target shape: a dense mass of short
-    subjects plus a sparse long tail (the skew of real protein
-    databases).  Tight length bins let the screen run very wide lanes
-    over the short mass; the adaptive threshold then rescores only the
-    handful of candidates."""
-    rng = np.random.default_rng(123)
-    letters = np.array(list("ARNDCQEGHILKMFPSTWYV"))
-
-    def seq(i, n):
-        residues = "".join(rng.choice(letters, size=int(n)))
-        return Sequence(id=f"s{i}", residues=residues, alphabet=PROTEIN)
-
-    records = [
-        seq(i, n) for i, n in enumerate(rng.integers(40, 72, size=800))
-    ] + [
-        seq(800 + i, n)
-        for i, n in enumerate(rng.integers(300, 330, size=12))
-    ]
-    query = random_sequence(200, rng, seq_id="q")
-    return query, SequenceDatabase(records, name="skewed")
-
-
-def test_kernel_screened_speedup(benchmark):
-    """Two-stage screen >= 1.5x the exact sweep, hits byte-identical.
-
-    This is the acceptance gate for the screening pipeline: on the
-    skewed workload the 8-bit binned screen plus adaptive rescore must
-    deliver at least 1.5x the exact kernel's GCUPS (typically ~1.9x),
-    and the final score vector is asserted ``np.array_equal`` against
-    the exact sweep inside the benchmark itself.
-    """
-    query, database = _skewed_workload()
-    cells = len(query) * database.total_residues
-
-    def exact():
-        return sw_score_database(
-            query, database, BLOSUM62, DEFAULT_GAPS, lanes=32
-        )
-
-    def screened():
-        return sw_score_database_screened(
-            query, database, BLOSUM62, DEFAULT_GAPS, top=10
-        )
-
-    exact_scores = exact()  # warm both paths before timing
-    result = screened()
-    assert np.array_equal(result.scores, exact_scores)
-    assert int(result.rescored.sum()) < len(database)
-
-    baseline_elapsed = float("inf")
-    for _ in range(3):  # best of 3 exact sweeps
-        started = time.perf_counter()
-        exact()
-        baseline_elapsed = min(
-            baseline_elapsed, time.perf_counter() - started
-        )
-
-    benchmark(screened)
-    screened_elapsed = benchmark.stats["min"]
-    speedup = baseline_elapsed / screened_elapsed
-
-    emit(
-        "Two-stage screening: skewed workload "
-        f"({len(database)} subjects, "
-        f"{int(result.rescored.sum())} rescored)",
-        "\n".join([
-            f"{'mode':<28}{'seconds':>10}{'MCUPS':>10}",
-            f"{'exact sweep (lanes=32)':<28}"
-            f"{baseline_elapsed:>10.3f}"
-            f"{_mcups(cells, baseline_elapsed):>10.1f}",
-            f"{'screen + rescore':<28}"
-            f"{screened_elapsed:>10.3f}"
-            f"{_mcups(cells, screened_elapsed):>10.1f}",
-            f"{'speedup':<28}{speedup:>10.2f}x",
-        ]),
-    )
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["mcups"] = round(
-        _mcups(cells, screened_elapsed), 1
-    )
-    assert speedup >= 1.5, (
-        f"screening speedup regressed to {speedup:.2f}x"
-    )
 
 
 def test_kernel_reference_small(benchmark, workload):

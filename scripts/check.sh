@@ -15,7 +15,10 @@
 # persistent pack store: `repro db build|verify`, a warm `--store`
 # search diffed byte-identical against the cold run, and a negative
 # check that a flipped byte fails both `db verify` and the warm
-# search.  The telemetry stage scrapes a live master's /metrics
+# search; a skewed store stage builds a store with the perfbench
+# fixture's command line on a short-mass/long-tail database and diffs a
+# warm `--batch 4 --store` search against the cold one.  The telemetry
+# stage scrapes a live master's /metrics
 # mid-run through the strict OpenMetrics parser, checks the worker
 # stats piggyback, and byte-compares a DES telemetry stream's final
 # record against the run's metrics snapshot.
@@ -59,15 +62,10 @@ python -m repro search "$CONF_DIR/queries.fasta" \
     "$CONF_DIR/database.fasta" --top 5 --batch 4 --cache \
     | grep -v '^# makespan' > "$CONF_DIR/batched.txt"
 diff "$CONF_DIR/plain.txt" "$CONF_DIR/batched.txt"
-python -m repro search "$CONF_DIR/queries.fasta" \
-    "$CONF_DIR/database.fasta" --top 5 --screen \
-    | grep -v '^# makespan' > "$CONF_DIR/screened.txt"
-diff "$CONF_DIR/plain.txt" "$CONF_DIR/screened.txt"
 python -m repro simulate --database rat --queries 6 --gpus 1 --sse 2 \
     --batch 3 --cache > /dev/null
 rm -rf "$CONF_DIR"
-echo "conformance OK: batched and screened hits identical," \
-    "batched simulate runs"
+echo "conformance OK: batched hits identical, batched simulate runs"
 
 echo
 echo "== store stage: repro db build/verify + warm-start search =="
@@ -125,14 +123,14 @@ rm -rf "$STORE_DIR"
 echo "store OK: warm hits identical, corruption rejected loudly"
 
 echo
-echo "== screen stage: two-stage screening on a skewed workload =="
-# The screening pipeline's target shape — a dense mass of short
-# subjects plus a sparse long tail.  The screened CLI run must print
-# hits byte-identical to the exact sweep, a store-backed screened run
-# must match both, and the exported counters must prove the screen
-# actually skipped work (rescored strictly less than it screened).
-SCREEN_DIR="$(mktemp -d -t repro-screen-XXXXXX)"
-python - "$SCREEN_DIR" <<'PY'
+echo "== skewed store stage: fixture-built store, batched warm search =="
+# A dense mass of short subjects plus a sparse long tail.  The store is
+# built with the perfbench fixture's own command line (`--screen-lanes`
+# is accepted and writes nothing), verified, and a warm
+# `--batch 4 --store` search must print hits byte-identical to a cold
+# exact search.
+SKEW_DIR="$(mktemp -d -t repro-skew-XXXXXX)"
+python - "$SKEW_DIR" <<'PY'
 import sys
 
 import numpy as np
@@ -163,49 +161,20 @@ write_fasta(query_set(3, rng, min_length=80, max_length=120),
             f"{root}/queries.fasta")
 write_fasta(records, f"{root}/database.fasta")
 PY
-python -m repro search "$SCREEN_DIR/queries.fasta" \
-    "$SCREEN_DIR/database.fasta" --top 5 --gpus 1 --sse 0 \
-    | grep -v '^# makespan' > "$SCREEN_DIR/exact.txt"
-python -m repro search "$SCREEN_DIR/queries.fasta" \
-    "$SCREEN_DIR/database.fasta" --top 5 --gpus 1 --sse 0 --screen \
-    --metrics-out "$SCREEN_DIR/metrics.json" \
-    | grep -v '^# makespan' | grep -v '^(wrote metrics' \
-    > "$SCREEN_DIR/screened.txt"
-diff "$SCREEN_DIR/exact.txt" "$SCREEN_DIR/screened.txt"
-# Warm start: binned packs from the store, hits still identical.
-python -m repro db build "$SCREEN_DIR/database.fasta" \
-    --store "$SCREEN_DIR/packs" --screen-lanes 256
-python -m repro db verify "$SCREEN_DIR/packs"
-python -m repro search "$SCREEN_DIR/queries.fasta" \
-    "$SCREEN_DIR/database.fasta" --top 5 --gpus 1 --sse 0 --screen \
-    --store "$SCREEN_DIR/packs" \
-    | grep -v '^# makespan' > "$SCREEN_DIR/warm.txt"
-diff "$SCREEN_DIR/exact.txt" "$SCREEN_DIR/warm.txt"
-# The counters must show real filtering on this skewed workload.
-python - "$SCREEN_DIR/metrics.json" <<'PY'
-import json
-import sys
-
-from repro.observability import MetricsRegistry
-
-with open(sys.argv[1], encoding="utf-8") as handle:
-    registry = MetricsRegistry.from_snapshot(json.load(handle))
-passed = registry.get("screen_pass_total").value
-rescored = registry.get("screen_rescore_total").value
-saturated = registry.get("screen_saturated_total").value
-screened = passed + rescored
-subjects, queries = 126, 3
-if screened != subjects * queries:
-    sys.exit(f"screened {screened} lanes, expected {subjects * queries}")
-if not passed:
-    sys.exit("screen passed nothing: the filter did no work")
-if rescored >= screened:
-    sys.exit(f"rescored {rescored} of {screened}: screening saved nothing")
-print(f"screen counters OK: {screened} screened, {rescored} rescored "
-      f"({saturated} saturated), {passed} skipped the exact kernel")
-PY
-rm -rf "$SCREEN_DIR"
-echo "screen OK: screened + store-backed hits identical, filter engaged"
+python -m repro db build "$SKEW_DIR/database.fasta" \
+    --store "$SKEW_DIR/packs" --queries "$SKEW_DIR/queries.fasta" \
+    --screen-lanes 256
+python -m repro db verify "$SKEW_DIR/packs"
+python -m repro search "$SKEW_DIR/queries.fasta" \
+    "$SKEW_DIR/database.fasta" --top 5 --gpus 1 --sse 0 \
+    | grep -v '^# makespan' > "$SKEW_DIR/cold.txt"
+python -m repro search "$SKEW_DIR/queries.fasta" \
+    "$SKEW_DIR/database.fasta" --top 5 --gpus 1 --sse 0 \
+    --batch 4 --store "$SKEW_DIR/packs" \
+    | grep -v '^# makespan' > "$SKEW_DIR/warm.txt"
+diff "$SKEW_DIR/cold.txt" "$SKEW_DIR/warm.txt"
+rm -rf "$SKEW_DIR"
+echo "skewed store OK: warm batched hits identical to the cold search"
 
 echo
 echo "== observability smoke benchmark =="

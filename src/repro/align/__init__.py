@@ -33,19 +33,6 @@ from .intersequence import (
     sw_score_database,
 )
 from .reference import DPMatrices, sw_matrix, sw_score_reference
-from .screening import (
-    DEFAULT_BIN_WIDTH,
-    DEFAULT_SCREEN_LANES,
-    SCREEN_CAP,
-    LengthBinnedPack,
-    ScreenStats,
-    ScreenedResult,
-    pack_database_binned,
-    sw_score_database_screened,
-    sw_score_database_screened_multi,
-    sw_screen_batch,
-    sw_screen_batch_multi,
-)
 from .scoring import (
     BLOSUM50,
     BLOSUM62,
@@ -113,17 +100,6 @@ __all__ = [
     "DPMatrices",
     "sw_matrix",
     "sw_score_reference",
-    "DEFAULT_BIN_WIDTH",
-    "DEFAULT_SCREEN_LANES",
-    "SCREEN_CAP",
-    "LengthBinnedPack",
-    "ScreenStats",
-    "ScreenedResult",
-    "pack_database_binned",
-    "sw_score_database_screened",
-    "sw_score_database_screened_multi",
-    "sw_screen_batch",
-    "sw_screen_batch_multi",
     "SubstitutionMatrix",
     "BLOSUM62",
     "BLOSUM50",

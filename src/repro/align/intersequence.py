@@ -18,13 +18,11 @@ CUDA threads:
   query axis for every lane at once).
 
 That sweep is the one kernel of the package.  It is parameterised by
-query count ``Q`` (stacked queries, :mod:`repro.align.multiquery`) and
-an optional clip cap (the saturating screen,
-:mod:`repro.align.screening`); :func:`sw_score_batch` is its
-single-query exact form.  Its state runs in the narrowest of
-int16/int32/int64 that a static bound proves exact — the paper's
-16-bit SIMD path — whatever the profile's storage dtype.  Scores are
-bit-exact with the reference kernel.
+query count ``Q`` (stacked queries, :mod:`repro.align.multiquery`);
+:func:`sw_score_batch` is its single-query form.  Profiles are stored
+as int64; the sweep's state runs in the narrowest of int16/int32/int64
+that a static bound proves exact — the paper's 16-bit SIMD path.
+Scores are bit-exact with the reference kernel.
 """
 
 from __future__ import annotations
@@ -111,10 +109,9 @@ def pack_database(
         )
 
 
-#: Pad score of each profile dtype: far below any real substitution
-#: score.  int64 profiles feed the exact sweep, int32 ones the screen;
-#: the sweep maps these pads to its own state pad (:data:`_STATES`).
-_PAD = {np.dtype(np.int64): -(1 << 40), np.dtype(np.int32): -(1 << 20)}
+#: Pad score of the int64 profiles: far below any real substitution
+#: score.  The sweep maps it to its own state pad (:data:`_STATES`).
+_PAD = -(1 << 40)
 
 #: Sweep state dtypes, narrowest first, with the exponent ``k`` of each
 #: one's exactness bound: the state is exact while ``reach < 2**k``, and
@@ -126,24 +123,21 @@ _STATES = (
 )
 
 
-def _build_profile(
-    queries_codes, matrix: SubstitutionMatrix, dtype=np.int64
-) -> np.ndarray:
+def _build_profile(queries_codes, matrix: SubstitutionMatrix) -> np.ndarray:
     """Stacked padded query profiles: a read-only ``(A+1, m_max, Q)`` tensor.
 
-    ``profile[c, i, q]`` is the substitution score of residue code ``c``
-    against position ``i`` of query ``q``.  The pad-residue row
-    ``profile[-1]`` and every position past a query's end hold the
-    dtype's pad score, so padded cells can never raise a score.
+    ``profile[c, i, q]`` is the int64 substitution score of residue code
+    ``c`` against position ``i`` of query ``q``.  The pad-residue row
+    ``profile[-1]`` and every position past a query's end hold the pad
+    score :data:`_PAD`, so padded cells can never raise a score.
     """
     if not len(queries_codes):
         raise ValueError("at least one query is required")
-    dtype = np.dtype(dtype)
     m_max = max(len(codes) for codes in queries_codes)
     profile = np.full(
         (matrix.alphabet.size + 1, m_max, len(queries_codes)),
-        _PAD[dtype],
-        dtype=dtype,
+        _PAD,
+        dtype=np.int64,
     )
     for q, codes in enumerate(queries_codes):
         profile[:-1, : len(codes), q] = matrix.profile_for(codes)
@@ -158,37 +152,29 @@ def _padded_profile(
     return _build_profile([query_codes], matrix)[:, :, 0]
 
 
-def _state(profile: np.ndarray, gaps: GapModel, cap: int | None):
-    """Narrowest exact sweep state for *profile*: ``(dtype, pad, cap)``.
+def _state(profile: np.ndarray, gaps: GapModel):
+    """Narrowest exact sweep state for *profile*: ``(dtype, pad)``.
 
-    The returned cap is ``None`` when it can never bind.  See
-    :func:`_sweep` for why the dtype holds every intermediate exactly.
+    See :func:`_sweep` for why the dtype holds every intermediate
+    exactly.
     """
     m = profile.shape[1]
     s_max = max(int(profile.max()), 0)
-    if cap is not None and cap >= s_max * m:
-        cap = None
-    bound = s_max * m if cap is None else cap
-    reach = bound + max(s_max, m * gaps.extend + gaps.open)
+    reach = s_max * m + max(s_max, m * gaps.extend + gaps.open)
     for dtype, k in _STATES:
         if reach < 1 << k:
-            return dtype, -(1 << (k + 1)), cap
+            return dtype, -(1 << (k + 1))
     raise OverflowError(f"scores up to {reach} exceed the int64 sweep state")
 
 
 def _sweep(
-    profile: np.ndarray,
-    residues: np.ndarray,
-    gaps: GapModel,
-    cap: int | None = None,
+    profile: np.ndarray, residues: np.ndarray, gaps: GapModel
 ) -> np.ndarray:
     """The lane sweep: best local score of every (lane, query) pair.
 
-    *profile* is an ``(A+1, m, Q)`` stacked profile; *residues* is a
-    pack's ``(rows, lanes)`` code matrix.  ``cap`` clips every H cell to
-    ``[0, cap]`` (the saturating screen); ``None`` runs the exact
-    recurrence.  Returns ``(lanes, Q)`` best scores in the profile's
-    dtype.
+    *profile* is an ``(A+1, m, Q)`` stacked int64 profile; *residues* is
+    a pack's ``(rows, lanes)`` code matrix.  Returns ``(lanes, Q)``
+    int64 best scores.
 
     **Layout.**  The DP state is query-major: ``(lanes, Q, 1 + m)``,
     stored flat, query position innermost, with a boundary column 0
@@ -207,14 +193,12 @@ def _sweep(
     that provably holds every intermediate, chosen per call from a
     static bound (the paper's 16-bit path, decided by a bound instead of
     by overflow detection).  Let ``S`` be the largest profile score
-    (floored at 0), ``m`` the stacked query length and ``o``/``e`` the
-    gap open/extend costs.  A cap of at least ``S*m`` can never bind
-    and is dropped; let ``B = cap`` if a cap remains, else ``S*m``.
-    Then:
+    (floored at 0), ``m`` the stacked query length, ``o``/``e`` the gap
+    open/extend costs and ``B = S*m``.  Then:
 
     * every H cell is in ``[0, B]``: a local alignment ending at query
-      position ``i`` scores at most ``S*i``, and the clip keeps it
-      non-negative (and at most ``cap``);
+      position ``i`` scores at most ``S*i``, and the zero floor keeps it
+      non-negative;
     * the diagonal term ``H + score`` is at most ``B + S``;
     * ``E = max(H - o, E - e)`` starts at the pad score, is ``pad - e``
       at its lowest, and lies in ``[-o, B - o]`` from the first row on;
@@ -237,15 +221,13 @@ def _sweep(
     _, m, nq = profile.shape
     lanes = residues.shape[1]
     if m == 0 or lanes == 0:
-        return np.zeros((lanes, nq), dtype=profile.dtype)
-    dtype, pad, cap = _state(profile, gaps, cap)
+        return np.zeros((lanes, nq), dtype=np.int64)
+    dtype, pad = _state(profile, gaps)
     # (A+1, Q, 1 + m) in the state dtype, column 0 the boundary column.
-    # Input pads and anything below the state pad become the state pad,
-    # computed in the wider of the two dtypes.
-    wide = profile.astype(np.promote_types(profile.dtype, dtype))
+    # Input pads and anything below the state pad become the state pad.
     prof = np.full((profile.shape[0], nq, 1 + m), pad, dtype=dtype)
     prof[:, :, 1:] = np.where(
-        wide <= _PAD[profile.dtype], pad, np.maximum(wide, pad)
+        profile <= _PAD, pad, np.maximum(profile, pad)
     ).transpose(0, 2, 1)
     go = dtype.type(gaps.open)
     ge = dtype.type(gaps.extend)
@@ -262,7 +244,6 @@ def _sweep(
     # Full-size operands: a broadcast or scalar operand costs more per
     # call than the arithmetic at these sizes.
     zero = np.zeros(size, dtype=dtype)
-    ceiling = None if cap is None else np.full(size, cap, dtype=dtype)
     steps = np.arange(1 + m, dtype=dtype) * ge
     ramp_up = np.tile(steps, lanes * nq)
     drop = np.concatenate((np.array([-pad], dtype=dtype), go + steps[:-1]))
@@ -276,20 +257,17 @@ def _sweep(
         np.add(H_prev[:-1], prof[row].reshape(size), out=H)
         np.maximum(H, E, out=H)
         np.maximum(H, zero, out=H)
-        if ceiling is not None:
-            np.minimum(H, ceiling, out=H)
         # Lazy F by one max-plus prefix scan along the query axis.  One
         # scan is the exact column fixpoint because GapModel guarantees
         # open >= extend: a vertical gap routed through an F-raised cell
-        # pays an extra ``open - extend`` over the direct path.  F never
-        # exceeds the largest H, so a clipped column needs no re-clip.
+        # pays an extra ``open - extend`` over the direct path.
         np.add(H, ramp_up, out=G[1:])
         np.maximum.accumulate(scan, axis=1, out=scan)
         np.subtract(G[:-1], ramp_dn, out=F)
         np.maximum(H, F, out=H)
         np.maximum(best, H, out=best)
         H_prev, H_next = H_next, H_prev
-    return best.reshape(lanes, nq, 1 + m).max(axis=2).astype(profile.dtype)
+    return best.reshape(lanes, nq, 1 + m).max(axis=2).astype(np.int64)
 
 
 def sw_score_batch(

@@ -64,7 +64,7 @@ class MultiQueryProfile:
     negative so padded cells can never raise a score.
     """
 
-    profile: np.ndarray  # (alphabet + 1, m_max, Q) int64 or int32
+    profile: np.ndarray  # (alphabet + 1, m_max, Q) int64
     lengths: np.ndarray  # (Q,) int64
 
     @property
@@ -82,11 +82,10 @@ class MultiQueryProfile:
         cls,
         queries_codes: SequenceType[np.ndarray],
         matrix: SubstitutionMatrix,
-        dtype=np.int64,
     ) -> "MultiQueryProfile":
         """Stack the queries' padded profiles into one tensor."""
         lengths = np.array([len(c) for c in queries_codes], dtype=np.int64)
-        return cls(_build_profile(queries_codes, matrix, dtype), lengths)
+        return cls(_build_profile(queries_codes, matrix), lengths)
 
 
 def build_multi_profile(

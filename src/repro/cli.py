@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1 = the paper's very coarse tasks)",
     )
     _add_batching_flags(search)
-    _add_screen_flags(search)
     _add_checkpoint_flag(search)
     _add_store_flag(search)
     _add_telemetry_flags(search)
@@ -159,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         "from the master for the duration of the run (0 = free port)",
     )
     _add_batching_flags(cluster)
-    _add_screen_flags(cluster)
     _add_checkpoint_flag(cluster)
     _add_store_flag(cluster)
     _add_telemetry_flags(cluster)
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "0 disables reaping)",
     )
     _add_batching_flags(simulate)
-    _add_screen_flags(simulate)
     _add_checkpoint_flag(simulate)
     _add_telemetry_flags(simulate)
 
@@ -504,16 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated lane widths to pack at (default: 32, "
         "the inter-sequence engine's width)",
     )
-    dbuild.add_argument(
-        "--screen-lanes", default=None, metavar="N[,N...]",
-        help="also serialize length-binned screening packs at these "
-        "lane widths (for `search --screen --store`; default: none)",
-    )
-    dbuild.add_argument(
-        "--bin-width", type=int, default=None, metavar="W",
-        help="length-bin width for --screen-lanes entries (default: "
-        "the screening kernel's default)",
-    )
+    # Accepted and ignored, hidden from --help: perfbench/fixtures.py
+    # still passes it when it builds the search_batched store.
+    dbuild.add_argument("--screen-lanes", help=argparse.SUPPRESS)
 
     dinspect = db_sub.add_parser(
         "inspect", help="list a store's entries and their geometry"
@@ -545,23 +535,6 @@ def _add_batching_flags(command: argparse.ArgumentParser) -> None:
         "tasks skip database conversion (the simulator models timing "
         "only, so there the flag is accepted but has no kernel state "
         "to cache)",
-    )
-
-
-def _add_screen_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--screen", action="store_true",
-        help="two-stage pipeline on the inter-sequence engines: an "
-        "8-bit saturating screen over length-binned packs, then exact "
-        "rescoring of saturated/above-threshold sequences (final hits "
-        "are bit-identical to a full exact sweep; the simulator models "
-        "timing only, so there the flag is accepted but inert)",
-    )
-    command.add_argument(
-        "--screen-threshold", type=int, default=None, metavar="SCORE",
-        help="explicit rescore threshold for --screen (default: "
-        "adaptive, derived from the running top-k scores; exactness "
-        "holds for any value)",
     )
 
 
@@ -654,8 +627,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     engines = {}
     for i in range(args.gpus):
         engines[f"gpu{i}"] = InterSequenceEngine(
-            matrix, gaps, top=args.top, cache=args.cache, store=store,
-            screen=args.screen, screen_threshold=args.screen_threshold,
+            matrix, gaps, top=args.top, cache=args.cache, store=store
         )
     for i in range(args.sse):
         engines[f"sse{i}"] = StripedSSEEngine(
@@ -761,8 +733,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         batch=args.batch,
         cache=args.cache,
         store_dir=args.store,
-        screen=args.screen,
-        screen_threshold=args.screen_threshold,
         http_port=args.http_port,
         telemetry_path=args.telemetry_out,
         telemetry_interval=args.telemetry_interval,
@@ -1051,26 +1021,15 @@ def _cmd_db(args: argparse.Namespace) -> int:
         lanes = tuple(
             int(part) for part in str(args.lanes).split(",") if part.strip()
         )
-        binned = tuple(
-            int(part)
-            for part in str(args.screen_lanes or "").split(",")
-            if part.strip()
-        )
-        from .align.screening import DEFAULT_BIN_WIDTH
-
         store = build_store(
-            args.store, database, matrix, queries=queries, lanes_list=lanes,
-            binned_lanes=binned,
-            bin_width=args.bin_width or DEFAULT_BIN_WIDTH,
+            args.store, database, matrix, queries=queries, lanes_list=lanes
         )
         counts = store.verify()
-        binned_note = f", screen lanes {list(binned)}" if binned else ""
         print(
             f"store {args.store}: {counts['packs']} pack entries, "
             f"{counts['profiles']} profile entries "
             f"(db {len(database)} seqs / {database.total_residues} "
-            f"residues, matrix {matrix.name}, lanes {list(lanes)}"
-            f"{binned_note})"
+            f"residues, matrix {matrix.name}, lanes {list(lanes)})"
         )
         return 0
 
@@ -1096,14 +1055,9 @@ def _cmd_db(args: argparse.Namespace) -> int:
     for entry in entries:
         if entry["kind"] == "packs":
             db = entry["database"]
-            binned = (
-                f" binned(w={entry['bin_width']})"
-                if "bin_width" in entry
-                else ""
-            )
             print(
                 f"  packs    {entry['key'][:12]}  lanes={entry['lanes']:<3} "
-                f"batches={len(entry['packs'])}{binned} "
+                f"batches={len(entry['packs'])} "
                 f"db={db['name']} ({db['records']} seqs, "
                 f"{db['residues']} residues)  matrix={entry['matrix']['name']}"
             )

@@ -106,8 +106,6 @@ def run_cluster(
     batch: int = 1,
     cache: bool = False,
     store_dir: str | None = None,
-    screen: bool = False,
-    screen_threshold: int | None = None,
     http_port: int | None = None,
     telemetry_path: str | None = None,
     telemetry_interval: float = 1.0,
@@ -144,12 +142,6 @@ def run_cluster(
     cache:
         Enable each worker's process-wide pack/profile caches so
         repeated tasks skip database conversion.
-    screen, screen_threshold:
-        Two-stage screening on the fleet's inter-sequence workers: an
-        8-bit saturating screen over length-binned packs followed by
-        exact rescoring of saturated/above-threshold lanes.  Final
-        hits stay bit-identical to a full exact sweep; engine kinds
-        without a screening path ("sse"/"scan") ignore the flags.
     store_dir:
         Persistent ``repro.packstore.v1`` directory: the launcher
         populates it with the workload's lane packs and query profiles
@@ -181,12 +173,10 @@ def run_cluster(
         # makes this a no-op when a previous run already built it) so
         # the workers below find their shards on first request.
         from ..align.scoring import get_matrix
-        from ..align.screening import DEFAULT_SCREEN_LANES
         from ..store import build_store
 
         build_store(
-            store_dir, database, get_matrix(matrix), queries=list(queries),
-            binned_lanes=(DEFAULT_SCREEN_LANES,) if screen else (),
+            store_dir, database, get_matrix(matrix), queries=list(queries)
         )
 
     with tempfile.TemporaryDirectory(prefix="repro-cluster-") as tmp:
@@ -241,8 +231,6 @@ def run_cluster(
                     batch=batch,
                     cache=cache,
                     store=store_dir,
-                    screen=screen,
-                    screen_threshold=screen_threshold,
                 )
                 if use_processes:
                     proc = multiprocessing.Process(

@@ -89,12 +89,6 @@ class WorkerConfig:
     #: shards and profiles from it instead of re-packing on start
     #: (implies private engine caches; see ``docs/storage.md``).
     store: str | None = None
-    #: Two-stage screening on inter-sequence engines: 8-bit saturating
-    #: screen over length-binned packs, exact rescore of survivors.
-    #: Silently ignored by engine kinds without a screening path
-    #: ("sse"/"scan"), so a mixed fleet can share one config template.
-    screen: bool = False
-    screen_threshold: int | None = None
     connect_timeout: float = 10.0
     io_timeout: float = 60.0
     reconnect_attempts: int = 8
@@ -109,19 +103,13 @@ class WorkerConfig:
                 f"unknown engine {self.engine!r}; "
                 f"known: {sorted(_ENGINE_CLASSES)}"
             ) from None
-        kwargs = dict(
+        return cls(
+            get_matrix(self.matrix),
+            affine_gap(self.gap_open, self.gap_extend),
             top=self.top,
             chunk_size=self.chunk_size,
             cache=self.cache,
             store=self.store,
-        )
-        if self.engine == "gpu":
-            kwargs["screen"] = self.screen
-            kwargs["screen_threshold"] = self.screen_threshold
-        return cls(
-            get_matrix(self.matrix),
-            affine_gap(self.gap_open, self.gap_extend),
-            **kwargs,
         )
 
 

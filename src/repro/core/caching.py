@@ -39,9 +39,15 @@ from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
 
 from ..align.intersequence import LanePack, pack_database
-from ..align.screening import LengthBinnedPack, pack_database_binned
 from ..align.scoring import SubstitutionMatrix
 from ..sequences.database import SequenceDatabase
+
+# --- perfbench/ span targets (perfbench/tracing.py is the only caller) ---
+# The removed screen's pack builder, kept so instrumenting it resolves.
+from ..align.screening import (  # noqa: F401
+    perfbench_placeholder as pack_database_binned,
+)
+# --- end of perfbench/ span targets ---
 
 __all__ = [
     "KeyedLRU",
@@ -205,47 +211,6 @@ class PackCache:
                 )
             # Keep the database alive alongside its packs: the id() in
             # the key stays valid exactly as long as the entry does.
-            return (database, packs)
-
-        return self._lru.get_or_build(key, build)[1]
-
-    def binned_packs(
-        self,
-        database: SequenceDatabase,
-        matrix: SubstitutionMatrix,
-        lanes: int,
-        bin_width: int,
-    ) -> tuple[LengthBinnedPack, ...]:
-        """Length-binned screening packs, same tiering as :meth:`packs`.
-
-        The ``"binned"`` tag keeps these entries disjoint from the
-        plain packs of the same database even at equal lane counts.
-        """
-        key = (
-            "binned",
-            id(database),
-            len(database),
-            database.total_residues,
-            matrix.digest,
-            int(lanes),
-            int(bin_width),
-        )
-
-        def build() -> tuple[
-            SequenceDatabase, tuple[LengthBinnedPack, ...]
-        ]:
-            packs = None
-            if self.store is not None:
-                packs = self.store.get_binned_packs(
-                    database, matrix, lanes, bin_width
-                )
-            if packs is None:
-                packs = tuple(
-                    _freeze_pack(p)
-                    for p in pack_database_binned(
-                        database, matrix, lanes=lanes, bin_width=bin_width
-                    )
-                )
             return (database, packs)
 
         return self._lru.get_or_build(key, build)[1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -30,18 +31,6 @@ from ..align.gaps import DEFAULT_GAPS, GapModel
 from ..align.intersequence import pack_database, sw_score_batch, _padded_profile
 from ..align.columnwise import sw_score_scan
 from ..align.multiquery import build_multi_profile, sw_score_batch_multi
-from ..align.screening import (
-    DEFAULT_BIN_WIDTH,
-    DEFAULT_SCREEN_LANES,
-    ScreenStats,
-    build_screen_multi_profile,
-    build_screen_profile,
-    pack_database_binned,
-    rescore_screened,
-    rescore_screened_multi,
-    sw_screen_batch,
-    sw_screen_batch_multi,
-)
 from ..align.scoring import SubstitutionMatrix
 from ..align.striped import (
     SCORE_CAP_8BIT,
@@ -53,6 +42,22 @@ from ..align.striped import (
 from ..sequences.database import SequenceDatabase
 from ..sequences.records import Sequence
 from .caching import default_pack_cache, default_profile_cache
+
+# --- perfbench/ span targets (perfbench/tracing.py is the only caller) ---
+# The removed 8-bit screen's names, kept so instrumenting them resolves.
+from ..align.screening import (  # noqa: F401
+    perfbench_placeholder as build_screen_multi_profile,
+    perfbench_placeholder as build_screen_profile,
+    perfbench_placeholder as pack_database_binned,
+    perfbench_placeholder as rescore_screened,
+    perfbench_placeholder as rescore_screened_multi,
+    perfbench_placeholder as sw_screen_batch,
+    perfbench_placeholder as sw_screen_batch_multi,
+)
+
+#: What ``InterSequenceEngine.screen_stats`` reads: nothing is screened.
+_NO_SCREEN_STATS = SimpleNamespace(passed=0, rescored=0)
+# --- end of perfbench/ span targets ---
 
 __all__ = [
     "ChunkProgress",
@@ -127,13 +132,10 @@ class Engine(abc.ABC):
             self.profile_cache = default_profile_cache()
 
     def bind_caches(self, registry) -> None:
-        """Mirror this engine's cache/screen accounting into *registry*."""
+        """Mirror this engine's cache accounting into *registry*."""
         for cache in (self.pack_cache, self.profile_cache):
             if cache is not None:
                 cache.bind(registry)
-        stats = getattr(self, "screen_stats", None)
-        if stats is not None:
-            stats.bind(registry)
 
     def search(
         self,
@@ -300,55 +302,24 @@ class StripedSSEEngine(Engine):
 class InterSequenceEngine(Engine):
     """One GPU-analogue running the lane-packed CUDASW++-style kernel.
 
-    ``screen=True`` enables the two-stage screening pipeline:
-    an 8-bit saturating sweep over tightly length-binned packs screens
-    the whole database, and only sequences that saturated or cleared
-    the (adaptive or explicit ``screen_threshold``) rescore bar re-run
-    on the exact kernel — final hits stay byte-identical to every other
-    engine.  Screening composes with the multi-query tensor: batched
-    searches screen all queries in one int32 sweep per pack.
+    ``screen`` is accepted and ignored: ``perfbench/`` still passes it,
+    and still reads :attr:`screen_stats` (always zeros).  Every search
+    runs the exact sweep.
     """
 
     pe_class = "gpu"
+    screen_stats = _NO_SCREEN_STATS
 
-    def __init__(
-        self,
-        *args,
-        lanes: int = 32,
-        screen: bool = False,
-        screen_threshold: int | None = None,
-        screen_lanes: int = DEFAULT_SCREEN_LANES,
-        screen_bin_width: int = DEFAULT_BIN_WIDTH,
-        **kwargs,
-    ):
+    def __init__(self, *args, lanes: int = 32, screen: bool = False,
+                 **kwargs):
         super().__init__(*args, **kwargs)
         self.lanes = lanes
-        self.screen = screen
-        self.screen_threshold = screen_threshold
-        self.screen_lanes = screen_lanes
-        self.screen_bin_width = screen_bin_width
-        # Always constructed, so toggling ``engine.screen`` later (the
-        # BatchedEngine wrapper does) needs no extra setup.
-        self.screen_stats = ScreenStats()
 
     def _packs(self, database):
         """Lane packs for *database*: cached conversion when enabled."""
         if self.pack_cache is None:
             return pack_database(database, self.matrix, lanes=self.lanes)
         return self.pack_cache.packs(database, self.matrix, self.lanes)
-
-    def _binned_packs(self, database):
-        """Length-binned screening packs, cache/store-tiered like packs."""
-        if self.pack_cache is None:
-            return pack_database_binned(
-                database,
-                self.matrix,
-                lanes=self.screen_lanes,
-                bin_width=self.screen_bin_width,
-            )
-        return self.pack_cache.binned_packs(
-            database, self.matrix, self.screen_lanes, self.screen_bin_width
-        )
 
     def _profile(self, kind, codes, build):
         """``build(codes, matrix)``, memoized when caching is enabled.
@@ -366,45 +337,6 @@ class InterSequenceEngine(Engine):
             kind, key, self.matrix, (), lambda: build(codes, self.matrix)
         )
 
-    def search(self, query, database, progress=None):
-        if not self.screen:
-            return super().search(query, database, progress=progress)
-        from ..align.reference import _codes
-
-        query_codes = _codes(query, self.matrix)
-        profile = self._profile("screen", query_codes, build_screen_profile)
-
-        def screen(pack):
-            scores, saturated = sw_screen_batch(
-                query_codes, pack, self.matrix, self.gaps, profile=profile
-            )
-            return scores[None], saturated[None]
-
-        screened, saturated, aborted = self._sweep_packs(
-            self._binned_packs(database),
-            screen,
-            [query_codes],
-            len(database),
-            progress=(
-                None if progress is None
-                else lambda _position, chunk: progress(chunk)
-            ),
-        )
-        if aborted[0]:
-            return None
-        result = rescore_screened(
-            query_codes,
-            database,
-            self.matrix,
-            self.gaps,
-            screened[0],
-            saturated[0],
-            top=self.top,
-            threshold=self.screen_threshold,
-            stats=self.screen_stats,
-        )
-        return self._hits_from_scores(result.scores, database)
-
     def search_batch(self, queries, database, progress=None, cancelled=None):
         """Native multi-query sweep: all queries share each lane pack.
 
@@ -418,89 +350,15 @@ class InterSequenceEngine(Engine):
 
         if not queries:
             return []
-        if self.screen:
-            return self._search_batch_screened(
-                queries, database, progress=progress, cancelled=cancelled
-            )
         queries_codes = [_codes(q, self.matrix) for q in queries]
         mq = self._profile("multi", queries_codes, build_multi_profile)
-        scores, _, aborted = self._sweep_packs(
-            self._packs(database),
-            lambda pack: (sw_score_batch_multi(mq, pack, self.gaps), False),
-            queries_codes,
-            len(database),
-            progress,
-            cancelled,
-        )
-        return [
-            None if aborted[position]
-            else self._hits_from_scores(scores[position], database)
-            for position in range(len(queries))
-        ]
-
-    def _search_batch_screened(
-        self, queries, database, progress=None, cancelled=None
-    ):
-        """Screened batch path: one int32 screen sweep for all queries.
-
-        Same per-pack progress/cancel contract as the exact batch path;
-        the exact rescore of the survivor union runs once at the end
-        for the queries that were not aborted.
-        """
-        from ..align.reference import _codes
-
-        queries_codes = [_codes(q, self.matrix) for q in queries]
-        mq = self._profile(
-            "screen-multi", queries_codes, build_screen_multi_profile
-        )
-        screened, saturated, aborted = self._sweep_packs(
-            self._binned_packs(database),
-            lambda pack: sw_screen_batch_multi(mq, pack, self.gaps),
-            queries_codes,
-            len(database),
-            progress,
-            cancelled,
-        )
-        if all(aborted):
-            return [None] * len(queries)
-        result = rescore_screened_multi(
-            queries,
-            database,
-            self.matrix,
-            self.gaps,
-            screened,
-            saturated,
-            top=self.top,
-            threshold=self.screen_threshold,
-            stats=self.screen_stats,
-        )
-        return [
-            None if aborted[position]
-            else self._hits_from_scores(result.scores[position], database)
-            for position in range(len(queries))
-        ]
-
-    @staticmethod
-    def _sweep_packs(
-        packs, sweep, queries_codes, n, progress=None, cancelled=None
-    ):
-        """Run ``sweep(pack)`` over *packs* with per-pack progress/cancel.
-
-        ``sweep`` returns ``(scores, flags)`` as ``(Q, lanes)`` lane-order
-        arrays (``flags`` may be a scalar); both are scattered into
-        ``(Q, n)`` database order.  After each pack every live query is
-        polled (*cancelled*) and then reported (*progress*, ``False``
-        aborts it); once every query is aborted the remaining packs are
-        skipped.  Returns ``(scores, flags, aborted)``.
-        """
-        nq = len(queries_codes)
-        scores = np.zeros((nq, n), dtype=np.int64)
-        flags = np.zeros((nq, n), dtype=bool)
-        aborted = [False] * nq
-        for pack in packs:
-            batch, batch_flags = sweep(pack)
-            scores[:, pack.order] = batch
-            flags[:, pack.order] = batch_flags
+        scores = np.zeros((len(queries), len(database)), dtype=np.int64)
+        aborted = [False] * len(queries)
+        for pack in self._packs(database):
+            scores[:, pack.order] = sw_score_batch_multi(mq, pack, self.gaps)
+            # After each pack every live query is polled (*cancelled*)
+            # and then reported (*progress*, ``False`` aborts it); once
+            # every query is aborted the remaining packs are skipped.
             for position, codes in enumerate(queries_codes):
                 if aborted[position]:
                     continue
@@ -513,7 +371,11 @@ class InterSequenceEngine(Engine):
                         aborted[position] = True
             if all(aborted):
                 break
-        return scores, flags, aborted
+        return [
+            None if aborted[position]
+            else self._hits_from_scores(scores[position], database)
+            for position in range(len(queries))
+        ]
 
     def _score_chunks(self, query, database):
         from ..align.reference import _codes
@@ -638,33 +500,12 @@ class BatchedEngine(Engine):
 
     pe_class = "batched"
 
-    def __init__(
-        self,
-        inner: Engine,
-        max_batch: int = 8,
-        screen: bool | None = None,
-    ):
+    def __init__(self, inner: Engine, max_batch: int = 8):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         # Like ThrottledEngine: no super().__init__; behaviour delegates.
         self.inner = inner
         self.max_batch = max_batch
-        if screen is not None:
-            if not hasattr(inner, "screen"):
-                raise ValueError(
-                    "inner engine does not support screening; wrap an "
-                    "InterSequenceEngine to use screen="
-                )
-            inner.screen = bool(screen)
-
-    @property
-    def screen(self):
-        """Whether the wrapped engine screens (False if unsupported)."""
-        return bool(getattr(self.inner, "screen", False))
-
-    @property
-    def screen_stats(self):  # type: ignore[override]
-        return getattr(self.inner, "screen_stats", None)
 
     @property
     def matrix(self):  # type: ignore[override]

@@ -30,7 +30,6 @@ from .conventions import (
     cluster_worker_instruments,
     finalize_run_metrics,
     master_instruments,
-    screen_instruments,
     service_instruments,
 )
 from .dashboard import render_status, run_top, status_from_snapshot
@@ -98,7 +97,6 @@ __all__ = [
     "Stopwatch",
     "master_instruments",
     "cache_instruments",
-    "screen_instruments",
     "cluster_server_instruments",
     "cluster_worker_instruments",
     "service_instruments",

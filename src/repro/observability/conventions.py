@@ -25,7 +25,6 @@ from .registry import MetricsRegistry
 __all__ = [
     "master_instruments",
     "cache_instruments",
-    "screen_instruments",
     "cluster_server_instruments",
     "cluster_worker_instruments",
     "service_instruments",
@@ -208,32 +207,6 @@ def cache_instruments(registry: MetricsRegistry) -> SimpleNamespace:
             "cache_entries",
             "Entries currently resident in the cache",
             ("cache",),
-        ),
-    )
-
-
-def screen_instruments(registry: MetricsRegistry) -> SimpleNamespace:
-    """Two-stage screening-pipeline metrics (the ``screen_*`` families).
-
-    Declared once so the threaded runtime, the CLI search path and
-    cluster workers export identical names; bound through
-    :meth:`repro.align.screening.ScreenStats.bind`.
-    """
-    return SimpleNamespace(
-        passed=registry.counter(
-            "screen_pass_total",
-            "Sequences resolved by the 8-bit screening pass alone "
-            "(screened score exact, no rescore needed)",
-        ),
-        rescored=registry.counter(
-            "screen_rescore_total",
-            "Sequences re-scored by the exact kernel after the screen "
-            "(saturated or above the rescore threshold)",
-        ),
-        saturated=registry.counter(
-            "screen_saturated_total",
-            "Screened (query, sequence) pairs that hit the 8-bit cap "
-            "(always rescored exactly)",
         ),
     )
 

@@ -56,11 +56,6 @@ from typing import Iterator
 import numpy as np
 
 from ..align.intersequence import DEFAULT_LANES, LanePack, pack_database
-from ..align.screening import (
-    DEFAULT_BIN_WIDTH,
-    LengthBinnedPack,
-    pack_database_binned,
-)
 from ..align.scoring import SubstitutionMatrix
 from ..align.striped import StripedProfile
 from ..durability.journal import JournalError, decode_record, encode_record
@@ -208,18 +203,6 @@ class PackStore:
         return _entry_key("packs", db_digest, matrix_digest, str(int(lanes)))
 
     @staticmethod
-    def binned_packs_key(
-        db_digest: str, matrix_digest: str, lanes: int, bin_width: int
-    ) -> str:
-        return _entry_key(
-            "packs-binned",
-            db_digest,
-            matrix_digest,
-            str(int(lanes)),
-            str(int(bin_width)),
-        )
-
-    @staticmethod
     def profile_key(
         kind: str, codes_digest: str, matrix_digest: str, params: tuple
     ) -> str:
@@ -302,87 +285,6 @@ class PackStore:
                 [int(p.residues.shape[0]), int(p.residues.shape[1])]
                 for p in packs
             ],
-            "arrays": arrays,
-        }
-        self._write_manifest(key, manifest)
-        return key
-
-    def put_binned_packs(
-        self,
-        database: SequenceDatabase,
-        matrix: SubstitutionMatrix,
-        lanes: int,
-        bin_width: int = DEFAULT_BIN_WIDTH,
-    ) -> str:
-        """Persist the length-binned screening packs; returns the key.
-
-        The manifest reuses kind ``"packs"`` (so ``verify``/``inspect``
-        tooling needs no new branch) and records the per-pack length
-        bins under ``"bins"`` — their presence is what marks the entry
-        as binned for :meth:`load_binned_packs`.
-        """
-        db_digest = database_digest(database)
-        key = self.binned_packs_key(
-            db_digest, matrix.digest, lanes, bin_width
-        )
-        if self._manifest_path(key).exists():
-            return key
-        packs = tuple(
-            pack_database_binned(
-                database, matrix, lanes=lanes, bin_width=bin_width
-            )
-        )
-        residues = (
-            np.concatenate([p.residues.ravel() for p in packs])
-            if packs
-            else np.zeros(0, dtype=np.int16)
-        )
-        lengths = (
-            np.concatenate([p.lengths for p in packs])
-            if packs
-            else np.zeros(0, dtype=np.int64)
-        )
-        order = (
-            np.concatenate([p.order for p in packs])
-            if packs
-            else np.zeros(0, dtype=np.int64)
-        )
-        arrays = {}
-        for field, array in (
-            ("residues", residues),
-            ("lengths", lengths),
-            ("order", order),
-        ):
-            filename = f"{key}.{field}.npy"
-            blob, crc = _serialize_array(array)
-            _atomic_write(self._objects / filename, blob)
-            arrays[field] = {
-                "file": filename,
-                "dtype": str(array.dtype),
-                "size": int(array.size),
-                "crc": crc,
-            }
-        manifest = {
-            "schema": PACKSTORE_SCHEMA,
-            "kind": "packs",
-            "key": key,
-            "lanes": int(lanes),
-            "bin_width": int(bin_width),
-            "pad_code": int(packs[0].pad_code)
-            if packs
-            else int(matrix.alphabet.size),
-            "matrix": {"name": matrix.name, "digest": matrix.digest},
-            "database": {
-                "digest": db_digest,
-                "records": len(database),
-                "residues": int(database.total_residues),
-                "name": database.name,
-            },
-            "packs": [
-                [int(p.residues.shape[0]), int(p.residues.shape[1])]
-                for p in packs
-            ],
-            "bins": [[int(p.bin_lo), int(p.bin_hi)] for p in packs],
             "arrays": arrays,
         }
         self._write_manifest(key, manifest)
@@ -514,79 +416,14 @@ class PackStore:
             )
         return tuple(packs)
 
-    def get_binned_packs(
-        self,
-        database: SequenceDatabase,
-        matrix: SubstitutionMatrix,
-        lanes: int,
-        bin_width: int,
-    ) -> tuple[LengthBinnedPack, ...] | None:
-        """Load binned screening packs, or ``None`` when absent.
-
-        Same contract as :meth:`get_packs`: absence returns ``None``
-        (callers pack in memory), corruption raises.
-        """
-        key = self.binned_packs_key(
-            database_digest(database), matrix.digest, lanes, bin_width
-        )
-        if not self._manifest_path(key).exists():
-            return None
-        return self.load_binned_packs(key, mmap=self.mmap)
-
-    def load_binned_packs(
-        self, key: str, mmap: bool | None = None
-    ) -> tuple[LengthBinnedPack, ...]:
-        """Materialize the :class:`LengthBinnedPack` batches of *key*."""
-        manifest = self.read_manifest(key)
-        if manifest.get("kind") != "packs":
-            raise StoreError(f"entry {key} is not a pack entry")
-        bins = manifest.get("bins")
-        if bins is None:
-            raise StoreError(
-                f"entry {key} is a plain pack entry, not a binned one"
-            )
-        if len(bins) != len(manifest["packs"]):
-            raise StoreError(
-                f"entry {key}: bins and pack shapes disagree"
-            )
-        use_mmap = self.mmap if mmap is None else bool(mmap)
-        arrays = {
-            field: self._load_array(manifest["arrays"][field], use_mmap)
-            for field in ("residues", "lengths", "order")
-        }
-        pad_code = int(manifest["pad_code"])
-        packs = []
-        flat_offset = 0
-        lane_offset = 0
-        for (rows, lanes), (bin_lo, bin_hi) in zip(
-            manifest["packs"], bins
-        ):
-            span = rows * lanes
-            residues = arrays["residues"][
-                flat_offset : flat_offset + span
-            ].reshape(rows, lanes)
-            lengths = arrays["lengths"][lane_offset : lane_offset + lanes]
-            order = arrays["order"][lane_offset : lane_offset + lanes]
-            flat_offset += span
-            lane_offset += lanes
-            packs.append(
-                LengthBinnedPack(
-                    residues=residues,
-                    lengths=lengths,
-                    order=order,
-                    pad_code=pad_code,
-                    bin_lo=int(bin_lo),
-                    bin_hi=int(bin_hi),
-                )
-            )
-        if flat_offset != arrays["residues"].size or (
-            lane_offset != arrays["lengths"].size
-            or lane_offset != arrays["order"].size
-        ):
-            raise StoreError(
-                f"entry {key}: pack shapes do not tile the stored arrays"
-            )
-        return tuple(packs)
+    # --- perfbench/ span targets (perfbench/tracing.py is the only caller) ---
+    # The removed screen's loader, kept so instrumenting it resolves.
+    # Binned entries written by earlier versions (``"bins"`` in a pack
+    # manifest) load through :meth:`load_packs`, which ignores the bins.
+    from ..align.screening import (
+        perfbench_placeholder as load_binned_packs,
+    )
+    # --- end of perfbench/ span targets ---
 
     def get_profile(
         self,
@@ -719,8 +556,6 @@ def build_store(
     queries=None,
     lanes_list: tuple[int, ...] = (DEFAULT_LANES,),
     striped_lanes: tuple[int, ...] = (16, 8),
-    binned_lanes: tuple[int, ...] = (),
-    bin_width: int = DEFAULT_BIN_WIDTH,
 ) -> PackStore:
     """Populate (or extend) the store at *directory* for one workload.
 
@@ -737,12 +572,6 @@ def build_store(
     store = PackStore(directory, create=True)
     for lanes in lanes_list:
         store.put_packs(database, matrix, lanes=lanes)
-    for lanes in binned_lanes:
-        # Length-binned screening packs (``repro search --screen``);
-        # off by default so plain stores keep their historical shape.
-        store.put_binned_packs(
-            database, matrix, lanes=lanes, bin_width=bin_width
-        )
     for query in queries or ():
         codes = matrix.alphabet.encode(query.residues)
         key = codes.tobytes()

@@ -394,78 +394,3 @@ class TestDbCommands:
         from repro.store import PackStore
 
         assert PackStore(store).verify()["packs"] >= 1
-
-
-class TestScreenFlag:
-    """`--screen` parity across environments, plus the store tooling."""
-
-    @staticmethod
-    def _hits(out: str) -> list[str]:
-        return [line for line in out.splitlines()
-                if not line.startswith("# makespan")]
-
-    def test_search_screen_hits_identical(self, fasta_files, capsys):
-        q, db = fasta_files
-        base = ["search", q, db, "--gpus", "1", "--sse", "0", "--top", "3"]
-        assert main(base) == 0
-        plain = self._hits(capsys.readouterr().out)
-        assert main(base + ["--screen"]) == 0
-        screened = self._hits(capsys.readouterr().out)
-        assert screened == plain
-
-    def test_search_screen_threshold_hits_identical(self, fasta_files,
-                                                    capsys):
-        q, db = fasta_files
-        base = ["search", q, db, "--gpus", "1", "--sse", "0", "--top", "3"]
-        assert main(base) == 0
-        plain = self._hits(capsys.readouterr().out)
-        for threshold in ("0", "1000000000"):
-            assert main(base + ["--screen", "--screen-threshold",
-                                threshold]) == 0
-            assert self._hits(capsys.readouterr().out) == plain, threshold
-
-    def test_cluster_screen_hits_identical(self, fasta_files, capsys):
-        q, db = fasta_files
-        base = ["cluster", q, db, "--workers", "gpu,sse", "--threads",
-                "--top", "3"]
-        assert main(base) == 0
-        plain = self._hits(capsys.readouterr().out)
-        assert main(base + ["--screen"]) == 0
-        screened = self._hits(capsys.readouterr().out)
-        assert screened == plain
-
-    def test_simulate_accepts_screen_inert(self, capsys):
-        """The DES models timing only: --screen is accepted and the
-        simulated schedule is unchanged (same precedent as --cache)."""
-        base = ["simulate", "--database", "rat", "--queries", "6",
-                "--gpus", "1", "--sse", "2"]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main(base + ["--screen"]) == 0
-        assert capsys.readouterr().out == plain
-
-    def test_db_build_screen_lanes_and_inspect(self, fasta_files, tmp_path,
-                                               capsys):
-        _, db = fasta_files
-        store = str(tmp_path / "s")
-        assert main(["db", "build", db, "--store", store,
-                     "--screen-lanes", "64", "--bin-width", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "screen lanes [64]" in out
-        assert main(["db", "inspect", store]) == 0
-        assert "binned(w=8)" in capsys.readouterr().out
-        assert main(["db", "verify", store]) == 0
-        capsys.readouterr()
-
-    def test_search_screen_with_store(self, fasta_files, tmp_path, capsys):
-        q, db = fasta_files
-        store = str(tmp_path / "s")
-        assert main(["db", "build", db, "--store", store,
-                     "--queries", q, "--screen-lanes", "256"]) == 0
-        capsys.readouterr()
-        base = ["search", q, db, "--gpus", "1", "--sse", "0", "--top", "3"]
-        assert main(base) == 0
-        plain = self._hits(capsys.readouterr().out)
-        assert main(base + ["--screen", "--store", store]) == 0
-        screened = self._hits(capsys.readouterr().out)
-        assert screened == plain

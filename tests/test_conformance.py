@@ -85,20 +85,6 @@ def all_engines(matrix, gaps, top):
             InterSequenceEngine(matrix, gaps, top=top, chunk_size=4),
             max_batch=3,
         ),
-        # Two-stage screening: tiny lanes/bins so small random cases
-        # still exercise multi-pack screening and the rescore union.
-        "screened": InterSequenceEngine(
-            matrix, gaps, top=top, chunk_size=4,
-            screen=True, screen_lanes=4, screen_bin_width=4,
-        ),
-        "batched_screened": BatchedEngine(
-            InterSequenceEngine(
-                matrix, gaps, top=top, chunk_size=4,
-                screen_lanes=4, screen_bin_width=4,
-            ),
-            max_batch=3,
-            screen=True,
-        ),
     }
 
 
@@ -247,32 +233,29 @@ class TestStoreBackedConformance:
             assert projection(engine.search(q, database)) == expected, name
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        query=st.text(alphabet=AMINO, min_size=1, max_size=24),
-        subjects=protein_lists,
-        gaps=gap_models,
-    )
-    def test_store_backed_screened_engine_conforms(
-        self, tmp_path_factory, query, subjects, gaps
+    @given(queries=query_lists, subjects=protein_lists, gaps=gap_models)
+    def test_store_backed_batched_engine_conforms(
+        self, tmp_path_factory, queries, subjects, gaps
     ):
-        """Screened engines warm-started from binned store shards stay
-        bit-exact against the reference."""
-        from repro.align.screening import DEFAULT_SCREEN_LANES
+        """The warm multi-query path (store-backed packs under the batch
+        wrapper) stays bit-exact against the reference."""
         from repro.store import build_store
 
-        root = tmp_path_factory.mktemp("conf-screen-store") / "s"
-        q = protein_seq(query)
+        root = tmp_path_factory.mktemp("conf-batch-store") / "s"
+        qs = [protein_seq(text, i) for i, text in enumerate(queries)]
         database = protein_db(subjects)
-        build_store(
-            root, database, BLOSUM62, queries=[q],
-            binned_lanes=(DEFAULT_SCREEN_LANES,),
-        )
+        # Packs only: stacked multi-query profiles never enter a store.
+        build_store(root, database, BLOSUM62)
         top = len(database)
-        expected = reference_hits(q, database, BLOSUM62, gaps, top)
-        warm = InterSequenceEngine(
-            BLOSUM62, gaps, top=top, store=str(root), screen=True
+        expected = [
+            reference_hits(q, database, BLOSUM62, gaps, top) for q in qs
+        ]
+        warm = BatchedEngine(
+            InterSequenceEngine(BLOSUM62, gaps, top=top, store=str(root)),
+            max_batch=3,
         )
-        assert projection(warm.search(q, database)) == expected
+        batch = warm.search_batch(qs, database)
+        assert [projection(hits) for hits in batch] == expected
 
     def test_store_hits_identical_to_cold_engine(self, tmp_path):
         from repro.store import build_store

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.align import (
+    BLOSUM62,
     affine_gap,
+    build_multi_profile,
     match_mismatch,
     pack_database,
     sw_score_batch,
@@ -16,6 +18,7 @@ from repro.align import (
 from repro.align.intersequence import _build_profile, _state, _sweep
 from repro.align.reference import _codes
 from repro.sequences import (
+    DNA,
     PROTEIN,
     Sequence,
     SequenceDatabase,
@@ -127,22 +130,22 @@ class TestAgreement:
         assert scattered.tolist() == full.tolist()
 
 
-def _reach(s_max, m, gaps, bound):
+def _reach(s_max, m, gaps):
     """The sweep's static bound on every intermediate (see ``_sweep``)."""
-    return bound + max(s_max, m * gaps.extend + gaps.open)
+    return s_max * m + max(s_max, m * gaps.extend + gaps.open)
 
 
-def _sweep_vs_reference(queries, subjects, matrix, gaps, dtype, cap, lanes):
+def _sweep_vs_reference(queries, subjects, matrix, gaps, lanes):
     """Run ``_sweep`` over every pack; check it against the reference."""
     codes = [_codes(q, matrix) for q in queries]
-    profile = _build_profile(codes, matrix, dtype)
+    profile = _build_profile(codes, matrix)
     db = SequenceDatabase(
         [Sequence(id=f"d{i}", residues=s) for i, s in enumerate(subjects)]
     )
     best = np.zeros((len(subjects), len(queries)), dtype=np.int64)
     for pack in pack_database(db, matrix, lanes=lanes):
-        swept = _sweep(profile, pack.residues, gaps, cap)
-        assert swept.dtype == profile.dtype
+        swept = _sweep(profile, pack.residues, gaps)
+        assert swept.dtype == np.int64
         assert swept.shape == (pack.lanes, len(queries))
         best[pack.order] = swept
     expected = np.array(
@@ -150,8 +153,6 @@ def _sweep_vs_reference(queries, subjects, matrix, gaps, dtype, cap, lanes):
          for s in subjects],
         dtype=np.int64,
     )
-    if cap is not None:
-        expected = np.minimum(expected, cap)
     assert best.tobytes() == expected.tobytes()
     return profile
 
@@ -179,7 +180,6 @@ class TestStateDtype:
 
     @pytest.mark.parametrize("side", ["below", "above"])
     @pytest.mark.parametrize("k", [13, 29])
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     @given(
         query=st.text(alphabet="ARNDW", min_size=1, max_size=28),
         decoy=st.text(alphabet="ARNDW", min_size=1, max_size=30),
@@ -189,16 +189,16 @@ class TestStateDtype:
     )
     @settings(max_examples=15, deadline=None)
     def test_boundary_matches_reference(
-        self, side, k, dtype, query, decoy, extend, extra_open, lanes
+        self, side, k, query, decoy, extend, extra_open, lanes
     ):
         m = len(query)
         edge = 1 << k
         if k == 13:
             gaps = affine_gap(extend + extra_open, extend)
             s_max = max(1, (edge - 1 - (m * extend + gaps.open)) // m)
-            while _reach(s_max + 1, m, gaps, (s_max + 1) * m) < edge:
+            while _reach(s_max + 1, m, gaps) < edge:
                 s_max += 1
-            while s_max > 1 and _reach(s_max, m, gaps, s_max * m) >= edge:
+            while s_max > 1 and _reach(s_max, m, gaps) >= edge:
                 s_max -= 1
             s_max += side == "above"
         else:
@@ -206,38 +206,15 @@ class TestStateDtype:
             open_cost = edge - 1 - s_max * m - m * extend
             gaps = affine_gap(open_cost + (side == "above"), extend)
         matrix = match_mismatch(s_max, -(s_max // 3) - 1, alphabet=PROTEIN)
-        reach = _reach(s_max, m, gaps, s_max * m)
+        reach = _reach(s_max, m, gaps)
         assert (reach < edge) == (side == "below")
         queries = [query, query[: (m + 1) // 2]]
         profile = _sweep_vs_reference(
-            queries, _boundary_subjects(query, decoy), matrix, gaps,
-            dtype, None, lanes,
+            queries, _boundary_subjects(query, decoy), matrix, gaps, lanes
         )
-        state = _state(profile, gaps, None)[0]
+        state = _state(profile, gaps)[0]
         narrow, wide = {13: (np.int16, np.int32), 29: (np.int32, np.int64)}[k]
         assert state == (narrow if side == "below" else wide)
-
-    @pytest.mark.parametrize("side", ["below", "above"])
-    @given(
-        query=st.text(alphabet="ARNDW", min_size=16, max_size=28),
-        decoy=st.text(alphabet="ARNDW", min_size=1, max_size=30),
-        extend=st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_capped_boundary(self, side, query, decoy, extend):
-        """A cap below ``S*m`` binds: ``B = cap``, clipped scores exact."""
-        m = len(query)
-        matrix = match_mismatch(600, -200, alphabet=PROTEIN)
-        gaps = affine_gap(extend + 3, extend)
-        cap = (1 << 13) - max(600, m * extend + gaps.open) - (side == "below")
-        assert cap < 600 * m
-        profile = _sweep_vs_reference(
-            [query], _boundary_subjects(query, decoy), matrix, gaps,
-            np.int32, cap, 3,
-        )
-        state = _state(profile, gaps, cap)
-        assert state[0] == (np.int16 if side == "below" else np.int32)
-        assert state[2] == cap
 
     def test_large_matrix_scores_take_int64(self):
         """Match score 32 000 over 16 800 residues: ``S*m`` passes 2**29."""
@@ -245,7 +222,102 @@ class TestStateDtype:
         gaps = affine_gap(10, 2)
         query = "W" * 16800
         profile = _sweep_vs_reference(
-            [query], ["WWW", "WAW", "AWWWWA", "A"], matrix, gaps,
-            np.int64, None, 4,
+            [query], ["WWW", "WAW", "AWWWWA", "A"], matrix, gaps, 4
         )
-        assert _state(profile, gaps, None)[0] == np.int64
+        assert _state(profile, gaps)[0] == np.int64
+
+
+def protein_db(subjects):
+    return SequenceDatabase(
+        [Sequence(id=f"d{i}", residues=s, alphabet=PROTEIN)
+         for i, s in enumerate(subjects)]
+    )
+
+
+gap_models = st.tuples(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=5),
+).map(lambda pair: affine_gap(max(pair), min(pair)))
+
+#: Matrices for the kernel property: BLOSUM62; a high match score, so
+#: scores run far past 8 bits; and an all-negative matrix, under which
+#: every local score is 0.
+KERNEL_MATRICES = {
+    "blosum62": BLOSUM62,
+    "match90": match_mismatch(90, -45, alphabet=PROTEIN),
+    "all_negative": match_mismatch(
+        -1, -2, alphabet=PROTEIN, wildcard_score=-1
+    ),
+}
+# A small alphabet makes matches common; X is the protein wildcard.
+kernel_residues = st.text(alphabet="ARNDWYX", min_size=0, max_size=14)
+
+
+class TestLaneSweepKernel:
+    """The one lane sweep against the reference, with stacked queries:
+    every (query, subject) score equals the reference kernel's."""
+
+    @pytest.mark.parametrize("lanes", [1, 7])
+    @pytest.mark.parametrize("nq", [1, 3])
+    @given(
+        queries=st.lists(kernel_residues, min_size=3, max_size=3),
+        subjects=st.lists(kernel_residues, min_size=1, max_size=9),
+        gaps=gap_models,
+        matrix_name=st.sampled_from(sorted(KERNEL_MATRICES)),
+    )
+    # Three inputs no other suite has: an empty query (alone, and inside
+    # a stack), a matrix under which every local score is 0, and
+    # wildcard-only sequences (a query inside a stack of high scorers,
+    # and a subject).
+    @example(
+        queries=["", "WWWWWWW", "ARND"],
+        subjects=["WWWWWWWWW", "", "NDAR", "Y"],
+        gaps=affine_gap(10, 2),
+        matrix_name="match90",
+    )
+    @example(
+        queries=["WWWW", "ARNDWY", "A"],
+        subjects=["WWWW", "YWDNRA", "AAAAAA"],
+        gaps=affine_gap(1, 0),
+        matrix_name="all_negative",
+    )
+    @example(
+        queries=["WWWX", "XXXXX", "ARNDX"],
+        subjects=["XXXXXXX", "WWWWARND", "X"],
+        gaps=affine_gap(10, 2),
+        matrix_name="match90",
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference(
+        self, nq, lanes, queries, subjects, gaps, matrix_name
+    ):
+        _sweep_vs_reference(queries[:nq], subjects,
+                            KERNEL_MATRICES[matrix_name], gaps, lanes)
+
+
+class TestKernelEdgeCases:
+    def test_foreign_alphabet_query_is_reencoded(self):
+        """A query carrying a different alphabet object is re-encoded
+        against the matrix's — never trusted for raw codes."""
+        dna_query = Sequence(id="q", residues="ACGT", alphabet=DNA)
+        database = protein_db(["ACGT", "TTTT", "MKWL"])
+        gaps = affine_gap(10, 2)
+        expected = [
+            sw_score_reference(dna_query, subject, BLOSUM62, gaps)
+            for subject in database
+        ]
+        scores = sw_score_database(dna_query, database, BLOSUM62, gaps,
+                                   lanes=2)
+        assert scores.tolist() == expected
+
+    def test_multi_profile_requires_a_query(self):
+        with pytest.raises(ValueError, match="at least one query"):
+            build_multi_profile([], BLOSUM62)
+
+    def test_empty_query_and_empty_subjects_score_zero(self):
+        database = protein_db(["", "AAA", ""])
+        scores = sw_score_database(
+            Sequence(id="q", residues=""), database, BLOSUM62,
+            affine_gap(10, 2), lanes=2,
+        )
+        assert scores.tolist() == [0, 0, 0]

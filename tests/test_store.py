@@ -326,6 +326,93 @@ class TestInt64ProfileCompatibility:
         assert hits_bytes(warm) == cold
 
 
+def _add_binned_entry(store, database, lanes=4, bin_width=4):
+    """Write a pack entry in the binned format of earlier versions.
+
+    Those versions stored the removed screen's length-binned packs as
+    kind ``"packs"`` manifests keyed ``"packs-binned"``: the lane packs'
+    geometry plus ``bin_width`` and each pack's ``[lo, hi)`` length bin.
+    This re-keys a ``put_packs`` entry into that shape and re-encodes
+    its manifest, so its arrays and CRCs are real.  Returns the key.
+    """
+    from repro.durability.journal import encode_record
+    from repro.store.packstore import _entry_key
+
+    plain = store.put_packs(database, BLOSUM62, lanes=lanes)
+    bins = [
+        [int(pack.lengths.min()) // bin_width * bin_width,
+         (int(pack.lengths.max()) // bin_width + 1) * bin_width]
+        for pack in store.load_packs(plain, mmap=False)
+    ]
+    manifest = store.read_manifest(plain)
+    key = _entry_key("packs-binned", database_digest(database),
+                     BLOSUM62.digest, str(lanes), str(bin_width))
+    for spec in manifest["arrays"].values():
+        new_file = spec["file"].replace(plain, key)
+        (store._objects / spec["file"]).rename(store._objects / new_file)
+        spec["file"] = new_file
+    (store._objects / f"{plain}.json").unlink()
+    manifest.update(key=key, bin_width=bin_width, bins=bins)
+    (store._objects / f"{key}.json").write_text(
+        encode_record(manifest) + "\n", encoding="utf-8"
+    )
+    return key
+
+
+class TestBinnedStoreCompatibility:
+    """A store holding the removed screen's binned packs still serves.
+
+    ``db build --screen-lanes`` used to add such entries; ``verify``
+    loads them as plain pack entries, and a warm search reads only the
+    plain lane packs beside them.
+    """
+
+    @staticmethod
+    def _store(tmp_path):
+        from repro.sequences import query_set, write_fasta
+
+        rng = np.random.default_rng(23)
+        database = random_database(30, 40.0, rng, name="binned-db")
+        queries = query_set(3, rng, 20, 40)
+        write_fasta(database, tmp_path / "db.fasta")
+        write_fasta(queries, tmp_path / "q.fasta")
+        root = tmp_path / "s"
+        store = build_store(root, database, BLOSUM62, queries=queries)
+        key = _add_binned_entry(store, database)
+        return store, key
+
+    def test_verify_and_warm_search(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store, key = self._store(tmp_path)
+        assert "bins" in store.read_manifest(key)
+        assert store.verify() == {"entries": 11, "packs": 2, "profiles": 9}
+        assert main(["db", "verify", str(store.directory)]) == 0
+        assert main(["db", "inspect", str(store.directory)]) == 0
+        capsys.readouterr()
+
+        def hits(*extra):
+            assert main(["search", str(tmp_path / "q.fasta"),
+                         str(tmp_path / "db.fasta"), "--top", "5",
+                         *extra]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("# makespan")]
+
+        cold = hits()
+        assert hits("--store", str(store.directory)) == cold
+        assert hits("--batch", "3", "--store", str(store.directory)) == cold
+
+    def test_corrupt_binned_array_fails_verify(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store, key = self._store(tmp_path)
+        _flip_byte(store._objects / f"{key}.residues.npy", 100)
+        with pytest.raises(StoreError, match=key):
+            store.verify()
+        assert main(["db", "verify", str(store.directory)]) == 1
+        assert "FAILED" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Corruption properties (mirrors test_durability.py)
 # ----------------------------------------------------------------------
