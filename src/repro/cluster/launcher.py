@@ -19,11 +19,11 @@ from ..align.api import SearchHit
 from ..core.policies import AllocationPolicy
 from ..core.runtime import build_tasks
 from ..core.master import TraceEvent
+from ..core.shared import Periodic
 from ..faults import FaultPlan, InjectedCrash
 from ..observability import (
     EventLog,
     MetricsRegistry,
-    TelemetrySampler,
     TelemetryWriter,
     merge_snapshots,
 )
@@ -194,16 +194,18 @@ def run_cluster(
             http_port=http_port,
         )
         server.start()
-        sampler: TelemetrySampler | None = None
+        writer = None
+        sampler: Periodic | None = None
         if telemetry_path is not None:
-            sampler = TelemetrySampler(
-                TelemetryWriter(
-                    telemetry_path,
-                    server.metrics_snapshot,
-                    server.clock,
-                    interval=telemetry_interval,
-                    environment="cluster",
-                )
+            writer = TelemetryWriter(
+                telemetry_path,
+                server.metrics_snapshot,
+                server.clock,
+                interval=telemetry_interval,
+                environment="cluster",
+            )
+            sampler = Periodic(
+                telemetry_interval, writer.sample, "telemetry"
             ).start()
         host, port = server.address
         started = time.perf_counter()
@@ -266,7 +268,8 @@ def run_cluster(
             if sampler is not None:
                 # Final record = the fleet snapshot at close (the
                 # cluster has no finalize step to wait for).
-                sampler.close()
+                sampler.stop()
+                writer.close()
             for proc in procs:
                 if use_processes and proc.is_alive():
                     proc.terminate()

@@ -19,9 +19,8 @@ import time
 from ..align.api import SearchHit
 from ..core.master import Master, TraceEvent
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
-from ..core.results import merge_hits
+from ..core.shared import SharedMaster
 from ..core.task import Task, TaskResult
-from ..core.runtime import _SharedMaster
 from ..durability import CheckpointStore, open_master
 from ..observability import (
     EventLog,
@@ -31,7 +30,7 @@ from ..observability import (
     merge_into,
     status_from_snapshot,
 )
-from ..service.core import ServiceConfig, ServiceCore, TickActions
+from ..service.core import ServiceConfig, ServiceCore
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -44,11 +43,6 @@ from .protocol import (
 )
 
 __all__ = ["MasterServer"]
-
-#: How often the service maintenance loop finalizes completions,
-#: expires deadlines and refills the dispatch window.
-_SERVICE_TICK_SECONDS = 0.05
-
 
 class _Handler(socketserver.StreamRequestHandler):
     """One slave connection."""
@@ -109,28 +103,19 @@ class _Handler(socketserver.StreamRequestHandler):
             }
         elif kind == "request":
             pe_id = str(message["pe_id"])
-            with server.lock:
-                # Refill the dispatch window first so an idle worker's
-                # poll can pick up freshly admitted work immediately.
-                server._service_tick()
-                assignment, cancel = shared.request(pe_id, server.clock())
+            with shared.lock:
+                assignment, cancel, queries = shared.request(
+                    pe_id, server.clock()
+                )
                 # Span contexts of the granted executions, forwarded so
                 # worker-side events join the same causal trace.
                 spans = {}
-                inline = {}
                 for t in (*assignment.tasks, *assignment.replicas):
                     context = server.master.execution_span(
                         pe_id, t.task_id
                     )
                     if context is not None:
                         spans[str(t.task_id)] = context.as_fields()
-                    if t.query_index < 0:
-                        # Service-admitted task: no indexed file holds
-                        # its query, so the residues travel inline
-                        # (protocol 4).
-                        payload = server.inline_queries.get(t.task_id)
-                        if payload is not None:
-                            inline[str(t.task_id)] = payload
             reply = {
                 "type": "assign",
                 "tasks": [encode_task(t) for t in assignment.tasks],
@@ -146,8 +131,13 @@ class _Handler(socketserver.StreamRequestHandler):
                 # size (1 = execute singly).
                 "batch": server.master.batch,
             }
-            if inline:
-                reply["queries"] = inline
+            if queries:
+                # Service-admitted tasks: no indexed file holds their
+                # queries, so the residues travel inline (protocol 4).
+                reply["queries"] = {
+                    str(task_id): payload
+                    for task_id, payload in queries.items()
+                }
         elif kind == "progress":
             pe_id = str(message["pe_id"])
             server.ingest_worker_stats(pe_id, message.get("stats"))
@@ -171,10 +161,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 ),
             )
             cancel = shared.complete(pe_id, result, server.clock())
-            # Finalize the service request this completion may have
-            # answered (and refill the window) without waiting for the
-            # next maintenance tick.
-            server._service_tick()
             reply = {"type": "ack", "cancel": cancel}
         elif kind == "cancelled":
             cancel = shared.cancelled(
@@ -207,8 +193,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def _dispatch_service(self, server: "MasterServer", message: dict,
                           kind: str) -> bool:
         """Client surface of the always-on service (protocol 4)."""
-        service = server.service
-        assert service is not None
+        shared = server.shared
+        request_id = str(message.get("request_id", ""))
         if kind == "submit":
             query = message.get("query")
             if (
@@ -217,88 +203,45 @@ class _Handler(socketserver.StreamRequestHandler):
                 or not query.get("residues")
             ):
                 server.inst.protocol_errors.inc()
-                send_message(
-                    self.connection,
-                    {"type": "error",
-                     "message": "submit needs query{id, residues}"},
-                )
-                return True
-            residues = str(query["residues"])
+                return self._error("submit needs query{id, residues}")
             deadline = message.get("deadline")
-            request_id = message.get("request_id")
-            payload = {"id": str(query["id"]), "residues": residues}
-            with server.lock:
-                now = server.clock()
-                outcome = service.submit(
-                    tenant=str(message.get("tenant", "default")),
-                    query_id=str(query["id"]),
-                    query_length=len(residues),
-                    cells=len(residues) * server.database_residues,
-                    now=now,
-                    deadline=(
-                        None if deadline is None else now + float(deadline)
-                    ),
-                    request_id=(
-                        None if request_id is None else str(request_id)
-                    ),
-                    query=payload,
-                )
-                if outcome.accepted:
-                    request = service.requests[outcome.request_id]
-                    if request.state in ("queued", "running"):
-                        server.inline_queries[request.task.task_id] = (
-                            payload
-                        )
+            given_id = message.get("request_id")
+            outcome = shared.submit(
+                str(message.get("tenant", "default")),
+                str(query["id"]),
+                str(query["residues"]),
+                deadline=None if deadline is None else float(deadline),
+                request_id=None if given_id is None else str(given_id),
+            )
             reply = outcome.to_dict()
             reply["type"] = "accepted" if outcome.accepted else "rejected"
-            send_message(self.connection, reply)
-        elif kind == "poll":
-            request_id = str(message.get("request_id", ""))
-            with server.lock:
-                request = service.requests.get(request_id)
-                if request is None:
-                    send_message(
-                        self.connection,
-                        {"type": "error",
-                         "message": f"unknown request {request_id!r}"},
-                    )
-                    return True
-                reply = request.to_dict()
-                if request.state == "done":
-                    hits = merge_hits([request.hits], top=server.top)
-                    reply["hits"] = [encode_hit(h) for h in hits]
-                else:
-                    reply["hits"] = None
+        elif kind == "drain":
+            reply = {
+                "type": "status",
+                "state": "draining",
+                "outstanding": shared.drain(),
+            }
+        else:  # poll / cancel
+            with shared.lock:
+                try:
+                    if kind == "poll":
+                        reply = shared.poll(request_id).to_dict()
+                        hits = shared.result(request_id)
+                        reply["hits"] = (
+                            None if hits is None
+                            else [encode_hit(h) for h in hits]
+                        )
+                    else:
+                        reply = shared.cancel(request_id).to_dict()
+                except KeyError:
+                    return self._error(f"unknown request {request_id!r}")
             reply["type"] = "status"
-            send_message(self.connection, reply)
-        elif kind == "cancel":
-            request_id = str(message.get("request_id", ""))
-            with server.lock:
-                if request_id not in service.requests:
-                    send_message(
-                        self.connection,
-                        {"type": "error",
-                         "message": f"unknown request {request_id!r}"},
-                    )
-                    return True
-                server._apply_service_actions(
-                    service.cancel(request_id, server.clock())
-                )
-                reply = service.requests[request_id].to_dict()
-            reply["type"] = "status"
-            reply["hits"] = None
-            send_message(self.connection, reply)
-        else:  # drain
-            with server.lock:
-                outstanding = service.drain(server.clock())
-            send_message(
-                self.connection,
-                {
-                    "type": "status",
-                    "state": "draining",
-                    "outstanding": outstanding,
-                },
-            )
+            reply.setdefault("hits", None)  # a cancel reply has no hits
+        send_message(self.connection, reply)
+        return True
+
+    def _error(self, text: str) -> bool:
+        send_message(self.connection, {"type": "error", "message": text})
         return True
 
 
@@ -378,24 +321,6 @@ class MasterServer(socketserver.ThreadingTCPServer):
                 batch=batch,
             )
         self.inst = cluster_server_instruments(self.metrics)
-        #: The one master facade every handler goes through; its
-        #: (re-entrant) lock serialises all master and service state.
-        self.shared = _SharedMaster(self.master)
-        self.lock = self.shared.lock
-        #: Always-on service front door (protocol 4).  ``service=True``
-        #: uses default :class:`ServiceConfig`; a config instance
-        #: customizes admission policy.  Composes with ``checkpoint=``:
-        #: the admission lifecycle journals into the sibling service
-        #: journal, and a server restarted on the same directory
-        #: cold-recovers every admitted request from disk.
-        self.service: ServiceCore | None = None
-        #: Residues of every service-admitted query, keyed by task id,
-        #: forwarded inline on ``assign`` (workers cannot seek them in
-        #: any indexed file).  Entries are dropped as requests retire.
-        self.inline_queries: dict[int, dict] = {}
-        #: Ranked-hit cutoff for service ``poll`` replies — matches the
-        #: one-shot search's ``top`` so results stay byte-identical.
-        self.top = top
         #: Database residue count used to cost admitted requests
         #: (query_length x this).  Inferred from the preloaded tasks
         #: when possible.
@@ -404,57 +329,47 @@ class MasterServer(socketserver.ThreadingTCPServer):
             if first.query_length > 0:
                 database_residues = first.cells // first.query_length
         self.database_residues = int(database_residues or 0)
-        if service:
-            if self.database_residues <= 0:
-                raise ValueError(
-                    "service mode needs database_residues= (no preloaded "
-                    "tasks to infer the database size from)"
-                )
-            if isinstance(service, ServiceCore):
-                # Master-restart story, service flavour: adopt the
-                # crashed server's core (with every queued/in-flight
-                # request) alongside its master.  Copy the old server's
-                # ``inline_queries`` too, or reassigned service tasks
-                # will be undeliverable.
-                if service.master is not self.master:
-                    raise ValueError(
-                        "adopted ServiceCore must wrap the adopted master"
-                    )
-                self.service = service
-            else:
-                config = (
-                    service if isinstance(service, ServiceConfig) else None
-                )
-                # Cold restart from the journal pair (if any): re-admit
-                # every unfinished request and re-register its inline
-                # query payload so reconnecting workers can execute it.
-                # Finished requests readopt their journaled hits
-                # byte-for-byte.
-                def _recover_query(rec: dict) -> int:
-                    payload = rec.get("query")
-                    if payload is not None:
-                        self.inline_queries[int(rec["task"])] = {
-                            "id": str(payload["id"]),
-                            "residues": str(payload["residues"]),
-                        }
-                    return -1
-
-                self.service = ServiceCore.open(
-                    self.master,
-                    self._store,
-                    self._recovered,
-                    config,
-                    query_index_of=_recover_query,
-                    wall_now=time.time(),
-                )
-        #: Silent-slave failure detection: workers quiet for longer than
-        #: this many seconds are deregistered and their tasks re-queued.
-        #: ``None`` disables reaping.
-        self.heartbeat_timeout = heartbeat_timeout
+        if service and self.database_residues <= 0:
+            raise ValueError(
+                "service mode needs database_residues= (no preloaded "
+                "tasks to infer the database size from)"
+            )
         self._started = time.perf_counter()
+        #: The one master facade every handler goes through; its
+        #: (re-entrant) lock serialises all master and service state,
+        #: and it runs the heartbeat reaper (workers silent for longer
+        #: than ``heartbeat_timeout`` seconds are deregistered and
+        #: their tasks re-queued; ``None`` disables reaping) and the
+        #: service tick.
+        #:
+        #: Always-on service front door (protocol 4): ``service=True``
+        #: uses default :class:`ServiceConfig`; a config instance
+        #: customizes admission policy; a :class:`ServiceCore` is
+        #: adopted with the master (the master-restart story, service
+        #: flavour — copy the old server's :attr:`inline_queries` too,
+        #: or reassigned service tasks are undeliverable).  Composes
+        #: with ``checkpoint=``: a server restarted on the same
+        #: directory cold-recovers every admitted request, with its
+        #: inline query payload, from disk.
+        self.shared = SharedMaster(
+            self.master,
+            self.clock,
+            service=service if isinstance(service, ServiceCore) else None,
+            heartbeat=heartbeat_timeout,
+            top=top,
+            database_residues=self.database_residues,
+        )
+        self.lock = self.shared.lock
+        if service and not isinstance(service, ServiceCore):
+            self.shared.open_service(
+                self._store,
+                self._recovered,
+                service if isinstance(service, ServiceConfig) else None,
+            )
+        #: Residues of every service-admitted query, keyed by task id,
+        #: forwarded inline on ``assign`` (the facade's payload store).
+        self.inline_queries = self.shared.queries
         self._thread: threading.Thread | None = None
-        self._reaper: threading.Thread | None = None
-        self._service_ticker: threading.Thread | None = None
         self._stopping = threading.Event()
         self._connections: set = set()
         self._conn_lock = threading.Lock()
@@ -493,46 +408,11 @@ class MasterServer(socketserver.ThreadingTCPServer):
         self._thread.start()
         if self.httpd is not None:
             self.httpd.start()
-        if self.heartbeat_timeout is not None:
-            self._reaper = threading.Thread(
-                target=self._reap_loop, name="master-reaper", daemon=True
-            )
-            self._reaper.start()
-        if self.service is not None:
-            self._service_ticker = threading.Thread(
-                target=self._service_loop, name="service-ticker",
-                daemon=True,
-            )
-            self._service_ticker.start()
+        self.shared.start()
 
-    def _reap_loop(self) -> None:
-        assert self.heartbeat_timeout is not None
-        poll = max(self.heartbeat_timeout / 4, 0.01)
-        while not self._stopping.wait(poll) and not self.finished:
-            self.shared.reap(self.clock(), self.heartbeat_timeout)
-
-    def _service_loop(self) -> None:
-        """Maintenance ticks: expiry, refill, drain detection.
-
-        The per-message ticks in the handler keep latency low; this
-        loop guarantees progress when no traffic arrives (e.g. every
-        worker busy while a queued request's deadline passes).
-        """
-        while not self._stopping.wait(_SERVICE_TICK_SECONDS):
-            self._service_tick()
-            if self.service is not None and self.service.drained:
-                return
-
-    def _service_tick(self) -> None:
-        if self.service is not None:
-            with self.lock:
-                self._apply_service_actions(self.service.tick(self.clock()))
-
-    def _apply_service_actions(self, actions: TickActions) -> None:
-        with self.lock:
-            self.shared.add_cancels(actions.cancels)
-            for task_id in actions.retired:
-                self.inline_queries.pop(task_id, None)
+    @property
+    def service(self) -> ServiceCore | None:
+        return self.shared.service
 
     # Track live slave connections so ``stop`` can sever them: daemon
     # handler threads otherwise keep serving a "stopped" master, which
@@ -549,6 +429,7 @@ class MasterServer(socketserver.ThreadingTCPServer):
 
     def stop(self) -> None:
         self._stopping.set()
+        self.shared.stop()
         if self.httpd is not None:
             self.httpd.stop()
         self.shutdown()
@@ -567,10 +448,6 @@ class MasterServer(socketserver.ThreadingTCPServer):
                 pass
         if self._thread is not None:
             self._thread.join(timeout=5)
-        if self._reaper is not None:
-            self._reaper.join(timeout=5)
-        if self._service_ticker is not None:
-            self._service_ticker.join(timeout=5)
         if self._store is not None:
             self._store.close()
             self._store = None
@@ -580,7 +457,7 @@ class MasterServer(socketserver.ThreadingTCPServer):
     def finished(self) -> bool:
         return self.shared.finished
 
-    def wait_finished(self, timeout: float = 120.0, poll: float = 0.01) -> None:
+    def wait_finished(self, timeout: float = 120.0) -> None:
         """Block until every task is finished (or raise on timeout).
 
         The :class:`TimeoutError` carries a diagnostic snapshot —
@@ -588,11 +465,8 @@ class MasterServer(socketserver.ThreadingTCPServer):
         age of its last contact — so a hung run says *which* worker
         stalled instead of just "did not finish".
         """
-        deadline = time.perf_counter() + timeout
-        while not self.finished:
-            if time.perf_counter() > deadline:
-                raise TimeoutError(self._timeout_diagnostics(timeout))
-            time.sleep(poll)
+        if not self.shared.wait_until(lambda: self.master.finished, timeout):
+            raise TimeoutError(self._timeout_diagnostics(timeout))
 
     def _timeout_diagnostics(self, timeout: float) -> str:
         with self.lock:
@@ -617,32 +491,16 @@ class MasterServer(socketserver.ThreadingTCPServer):
     # ------------------------------------------------------------------
     def drain(self) -> int:
         """Stop admission; returns the outstanding request count."""
-        if self.service is None:
-            raise RuntimeError("this master does not run a service")
-        with self.lock:
-            outstanding = self.service.drain(self.clock())
-            self._service_tick()
-        return outstanding
+        return self.shared.drain()
 
-    def wait_drained(self, timeout: float = 120.0, poll: float = 0.01) -> None:
+    def wait_drained(self, timeout: float = 120.0) -> None:
         """Block until a drain completed and the workload finished."""
-        if self.service is None:
-            raise RuntimeError("this master does not run a service")
-        deadline = time.perf_counter() + timeout
-        while True:
-            with self.lock:
-                if self.service.drained and self.master.finished:
-                    return
-            if time.perf_counter() > deadline:
-                raise TimeoutError(self._timeout_diagnostics(timeout))
-            time.sleep(poll)
+        if not self.shared.wait_until(lambda: self.shared.drained, timeout):
+            raise TimeoutError(self._timeout_diagnostics(timeout))
 
     def final_record(self) -> dict:
         """The service's exit summary (emit before process exit)."""
-        if self.service is None:
-            raise RuntimeError("this master does not run a service")
-        with self.lock:
-            return self.service.final_record(self.clock())
+        return self.shared.final_record()
 
     def results(self) -> dict[str, tuple[SearchHit, ...]]:
         """Merged per-query hits (requires :attr:`finished`)."""

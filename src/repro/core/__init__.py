@@ -8,7 +8,6 @@ from .caching import (
     default_profile_cache,
 )
 from .engines import (
-    BatchedEngine,
     Engine,
     InterSequenceEngine,
     ScanEngine,
@@ -43,7 +42,6 @@ __all__ = [
     "InterSequenceEngine",
     "ScanEngine",
     "ThrottledEngine",
-    "BatchedEngine",
     "KeyedLRU",
     "PackCache",
     "ProfileCache",

@@ -66,7 +66,6 @@ __all__ = [
     "InterSequenceEngine",
     "ScanEngine",
     "ThrottledEngine",
-    "BatchedEngine",
 ]
 
 
@@ -484,80 +483,3 @@ class ThrottledEngine(Engine):
 
     def _score_chunks(self, query, database):  # pragma: no cover
         raise NotImplementedError("ThrottledEngine delegates search()")
-
-
-class BatchedEngine(Engine):
-    """Coalesce up to ``max_batch`` compatible queries per engine call.
-
-    The wrapper is the policy half of query batching: it slices an
-    incoming query list into groups of at most ``max_batch`` and hands
-    each group to the wrapped engine's :meth:`~Engine.search_batch`
-    (native 3-D sweep on the inter-sequence engine, a plain loop
-    elsewhere).  "Compatible" means sharing this engine's matrix, gap
-    model and database — exactly what one assignment batch guarantees.
-    Singleton searches pass straight through.
-    """
-
-    pe_class = "batched"
-
-    def __init__(self, inner: Engine, max_batch: int = 8):
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        # Like ThrottledEngine: no super().__init__; behaviour delegates.
-        self.inner = inner
-        self.max_batch = max_batch
-
-    @property
-    def matrix(self):  # type: ignore[override]
-        return self.inner.matrix
-
-    @property
-    def gaps(self):  # type: ignore[override]
-        return self.inner.gaps
-
-    @property
-    def top(self):  # type: ignore[override]
-        return self.inner.top
-
-    @property
-    def chunk_size(self):  # type: ignore[override]
-        return self.inner.chunk_size
-
-    @property
-    def pack_cache(self):  # type: ignore[override]
-        return self.inner.pack_cache
-
-    @property
-    def profile_cache(self):  # type: ignore[override]
-        return self.inner.profile_cache
-
-    def bind_caches(self, registry):
-        self.inner.bind_caches(registry)
-
-    def search(self, query, database, progress=None):
-        return self.inner.search(query, database, progress=progress)
-
-    def search_batch(self, queries, database, progress=None, cancelled=None):
-        results: list[tuple[SearchHit, ...] | None] = []
-        for start in range(0, len(queries), self.max_batch):
-            group = queries[start : start + self.max_batch]
-            group_progress = None
-            group_cancelled = None
-            if progress is not None:
-                def group_progress(position, chunk, _start=start):
-                    return progress(_start + position, chunk)
-            if cancelled is not None:
-                def group_cancelled(position, _start=start):
-                    return cancelled(_start + position)
-            results.extend(
-                self.inner.search_batch(
-                    group,
-                    database,
-                    progress=group_progress,
-                    cancelled=group_cancelled,
-                )
-            )
-        return results
-
-    def _score_chunks(self, query, database):  # pragma: no cover
-        raise NotImplementedError("BatchedEngine delegates search()")

@@ -25,13 +25,21 @@ from ..observability import EventLog, MetricsRegistry, finalize_run_metrics
 from ..sequences.database import SequenceDatabase
 from ..sequences.records import Sequence
 from .engines import Engine
-from .master import Assignment, Master, TraceEvent
+from .master import Assignment, TraceEvent
 from .policies import AllocationPolicy, PackageWeightedSelfScheduling
 from .results import merge_hits, offset_hits
+from .shared import Periodic, SharedMaster
 from .slave import serve
 from .task import Task, TaskResult
 
-__all__ = ["RunReport", "HybridRuntime", "build_tasks"]
+__all__ = [
+    "HybridRuntime",
+    "LocalLink",
+    "RunReport",
+    "WorkerThread",
+    "build_tasks",
+    "start_workers",
+]
 
 #: Idle slaves poll the master at this period when told to wait.
 _WAIT_POLL_SECONDS = 0.002
@@ -94,137 +102,8 @@ class RunReport:
         return self.total_cells / self.makespan / 1e9 if self.makespan else 0.0
 
 
-class _SharedMaster:
-    """Lock-guarded facade over :class:`Master`: the master side of Fig. 4.
-
-    All real-environment slave traffic goes through one of these (the
-    lock plays the role of the network): the threaded runtime and
-    service call it in process, the TCP server calls it per decoded
-    frame.  Besides serialising access it owns two protocol rules:
-
-    * a PE the master reaped while it was still alive simply rejoins on
-      its next contact, under the next attempt id (its released tasks
-      are already back in the ready queue);
-    * per-PE pending cancellations — losers of a replica race and
-      service cancels/expiries (:meth:`add_cancels`) — are handed to
-      the PE on its next call, exactly as the wire ``ack``/``assign``
-      replies carry them.
-
-    The lock is re-entrant so callers can bracket several facade calls
-    (plus their own bookkeeping) in one critical section.
-
-    ``crash_at`` arms the plan's master-crash fault: once the clock
-    passes it, every interaction with the master raises
-    :class:`MasterCrashed` — from the slaves' point of view the master
-    simply stops answering, exactly like a killed process.  Only the
-    journal (written before the crash fired) survives.
-    """
-
-    def __init__(
-        self,
-        master: Master,
-        crash_at: float | None = None,
-        injector: FaultInjector | None = None,
-    ):
-        self.master = master
-        self.lock = threading.RLock()
-        self._attempts: dict[str, int] = {}
-        self._cancels: dict[str, set[int]] = {}
-        self._crash_at = crash_at
-        self._injector = injector
-        self.crashed = False
-
-    def _check_crash(self, now: float) -> None:
-        """Caller holds the lock."""
-        if self._crash_at is None:
-            return
-        if not self.crashed and now >= self._crash_at:
-            self.crashed = True
-            if self._injector is not None:
-                self._injector.record("master_crash", time=now)
-        if self.crashed:
-            raise MasterCrashed(self._crash_at)
-
-    def _contact(self, pe_id: str, now: float) -> None:
-        """Crash check + re-register-on-contact.  Caller holds the lock."""
-        self._check_crash(now)
-        if not self.master.is_registered(pe_id):
-            attempt = self._attempts.get(pe_id, 0) + 1
-            self._attempts[pe_id] = attempt
-            self.master.register(pe_id, now, attempt=attempt)
-
-    def _handover(self, pe_id: str) -> list[int]:
-        """Pop the PE's pending cancellations.  Caller holds the lock."""
-        pending = self._cancels.pop(pe_id, None)
-        return sorted(pending) if pending else []
-
-    def crash(self) -> None:
-        """Fire the master-crash fault now (hard-kill simulation)."""
-        with self.lock:
-            self._crash_at = -1.0
-            self.crashed = True
-
-    def register(self, pe_id: str, now: float, attempt: int = 0) -> None:
-        """(Re-)register a PE; a live registration is a stale incarnation.
-
-        The stale one is retired first, so its queued tasks go back to
-        READY before the new incarnation starts pulling.
-        """
-        with self.lock:
-            if self.master.is_registered(pe_id):
-                self.master.deregister(pe_id, now, reason="reconnect")
-            self._attempts[pe_id] = attempt
-            self._cancels.pop(pe_id, None)
-            self.master.register(pe_id, now, attempt=attempt)
-
-    def add_cancels(self, cancels) -> None:
-        """Queue ``(pe_id, task_id)`` cancellations for delivery."""
-        with self.lock:
-            for pe_id, task_id in cancels:
-                self._cancels.setdefault(pe_id, set()).add(task_id)
-
-    def request(self, pe_id: str, now: float) -> tuple[Assignment, list[int]]:
-        with self.lock:
-            self._contact(pe_id, now)
-            return self.master.on_request(pe_id, now), self._handover(pe_id)
-
-    def progress(
-        self, pe_id: str, now: float, cells: float, interval: float
-    ) -> list[int]:
-        with self.lock:
-            self._contact(pe_id, now)
-            self.master.on_progress(pe_id, now, cells, interval)
-            return self._handover(pe_id)
-
-    def complete(
-        self, pe_id: str, result: TaskResult, now: float
-    ) -> list[int]:
-        with self.lock:
-            self._contact(pe_id, now)
-            losers = self.master.on_complete(pe_id, result, now)
-            self.add_cancels((loser, result.task_id) for loser in losers)
-            return self._handover(pe_id)
-
-    def cancelled(self, pe_id: str, task_id: int, now: float) -> list[int]:
-        with self.lock:
-            self._contact(pe_id, now)
-            self.master.on_cancelled(pe_id, task_id, now)
-            return self._handover(pe_id)
-
-    def reap(self, now: float, timeout: float) -> None:
-        with self.lock:
-            self._check_crash(now)
-            if not self.master.finished:
-                self.master.reap_silent(now, timeout)
-
-    @property
-    def finished(self) -> bool:
-        with self.lock:
-            return self.master.finished
-
-
 class _FaultyChannel:
-    """Transport-fault decorator over :class:`_SharedMaster`.
+    """Transport-fault decorator over :class:`SharedMaster`.
 
     Models the worker-master link as at-least-once: messages the
     protocol cannot afford to lose (``complete``/``cancelled``) are
@@ -235,7 +114,7 @@ class _FaultyChannel:
     heals, which is exactly what lets the heartbeat reaper fire.
     """
 
-    def __init__(self, shared: _SharedMaster, injector: FaultInjector, clock):
+    def __init__(self, shared: SharedMaster, injector: FaultInjector, clock):
         self._shared = shared
         self._injector = injector
         self._clock = clock
@@ -243,12 +122,12 @@ class _FaultyChannel:
     def request(self, pe_id: str, now: float):
         if self._injector.partition_remaining(pe_id, now) > 0:
             time.sleep(_WAIT_POLL_SECONDS)
-            return Assignment(), []
+            return Assignment(), [], {}
         action = self._injector.message_action(
             pe_id, "request", now, allow=("drop", "delay")
         )
         if action == "drop":
-            return Assignment(), []  # lost poll: the worker asks again
+            return Assignment(), [], {}  # lost poll: the worker asks again
         if action == "delay":
             time.sleep(self._injector.delay_seconds)
         return self._shared.request(pe_id, self._clock())
@@ -303,11 +182,13 @@ class _FaultyChannel:
         )
 
 
-class _LocalLink:
+class LocalLink:
     """One worker thread's link to the in-process master (see ``slave``).
 
     Applies the chunk offsets (engines rank hits within their chunk;
-    the master merges database-wide indices) and counts completions.
+    the master merges database-wide indices), resolves service tasks'
+    queries from the payloads granted with them, and counts
+    completions.
     """
 
     idle_seconds = _WAIT_POLL_SECONDS
@@ -315,7 +196,7 @@ class _LocalLink:
     def __init__(
         self,
         pe_id: str,
-        channel: "_SharedMaster | _FaultyChannel",
+        channel: "SharedMaster | _FaultyChannel",
         queries: list[Sequence],
         chunk_offsets: list[int],
         batch: int,
@@ -329,14 +210,22 @@ class _LocalLink:
         self._offsets = chunk_offsets
         self._batch = batch
         self._clock = clock
+        #: Query payloads of the service tasks in the last assignment
+        #: (the slave loop runs an assignment out before asking again).
+        self._payloads: dict[int, dict] = {}
 
     def request(self) -> tuple[Assignment, int]:
-        assignment, cancels = self._channel.request(self.pe_id, self._clock())
+        assignment, cancels, self._payloads = self._channel.request(
+            self.pe_id, self._clock()
+        )
         self.cancels.update(cancels)
         return assignment, self._batch
 
     def query(self, task: Task) -> Sequence:
-        return self._queries[task.query_index]
+        if task.query_index >= 0:
+            return self._queries[task.query_index]
+        payload = self._payloads[task.task_id]
+        return Sequence(payload["id"], payload["residues"])
 
     def progress(self, task: Task, cells: float, interval: float) -> None:
         self.cancels.update(
@@ -362,12 +251,12 @@ class _LocalLink:
         )
 
 
-class _Worker(threading.Thread):
+class WorkerThread(threading.Thread):
     """One slave PE thread running :func:`~repro.core.slave.serve`."""
 
     def __init__(
         self,
-        link: _LocalLink,
+        link: LocalLink,
         engine: Engine,
         chunks: list[SequenceDatabase],
         clock,
@@ -387,6 +276,44 @@ class _Worker(threading.Thread):
             super().run()
         except BaseException as exc:  # surfaced by the runtime
             self.error = exc
+
+
+def start_workers(
+    shared: SharedMaster,
+    engines: dict[str, Engine],
+    chunks: list[SequenceDatabase],
+    *,
+    channel: "_FaultyChannel | None" = None,
+    queries: list[Sequence] | None = None,
+    offsets: list[int] | None = None,
+    batch: int = 1,
+    injector: FaultInjector | None = None,
+) -> list[WorkerThread]:
+    """Register one worker thread per engine with *shared*; start them.
+
+    *channel* (default: *shared* itself) is what the workers talk to;
+    *queries* and *offsets* resolve preloaded tasks' queries and chunk
+    offsets.
+    """
+    clock = shared.clock
+    workers = [
+        WorkerThread(
+            LocalLink(
+                pe_id, channel or shared, queries or [],
+                offsets or [0], batch, clock,
+            ),
+            engine,
+            chunks,
+            clock,
+            injector,
+        )
+        for pe_id, engine in engines.items()
+    ]
+    for worker in workers:
+        shared.register(worker.pe_id, clock())
+    for worker in workers:
+        worker.start()
+    return workers
 
 
 class HybridRuntime:
@@ -477,18 +404,20 @@ class HybridRuntime:
         def clock() -> float:
             return time.perf_counter() - start
 
-        sampler: "TelemetrySampler | None" = None
+        writer = None
+        sampler: Periodic | None = None
         if self.telemetry_path is not None:
-            from ..observability import TelemetrySampler, TelemetryWriter
+            from ..observability import TelemetryWriter
 
-            sampler = TelemetrySampler(
-                TelemetryWriter(
-                    self.telemetry_path,
-                    metrics.snapshot,
-                    clock,
-                    interval=self.telemetry_interval,
-                    environment="threaded",
-                )
+            writer = TelemetryWriter(
+                self.telemetry_path,
+                metrics.snapshot,
+                clock,
+                interval=self.telemetry_interval,
+                environment="threaded",
+            )
+            sampler = Periodic(
+                self.telemetry_interval, writer.sample, "telemetry"
             ).start()
 
         master, store, _ = open_master(
@@ -516,77 +445,53 @@ class HybridRuntime:
             if self.faults is not None and self.faults.master_crash
             else None
         )
-        shared = _SharedMaster(master, crash_at=crash_at, injector=injector)
-        channel = (
-            _FaultyChannel(shared, injector, clock)
-            if injector is not None
-            else shared
-        )
         heartbeat = self.heartbeat_timeout
         if heartbeat is None and self.faults is not None:
             heartbeat = _DEFAULT_HEARTBEAT_SECONDS
-
-        workers = [
-            _Worker(
-                _LocalLink(
-                    pe_id, channel, queries, offsets, self.batch, clock
-                ),
-                engine,
-                chunks,
-                clock,
-                injector,
-            )
-            for pe_id, engine in self.engines.items()
-        ]
-        for worker in workers:
-            shared.register(worker.pe_id, clock())
-
-        reaper_stop = threading.Event()
-        reaper: threading.Thread | None = None
-        if heartbeat:
-            def _reap_loop() -> None:
-                while not reaper_stop.wait(heartbeat / 4):
-                    if shared.finished:
-                        return
-                    try:
-                        shared.reap(clock(), heartbeat)
-                    except MasterCrashed:
-                        return
-
-            reaper = threading.Thread(
-                target=_reap_loop, name="reaper", daemon=True
-            )
-            reaper.start()
-
+        shared = SharedMaster(
+            master, clock, heartbeat=heartbeat,
+            crash_at=crash_at, injector=injector,
+        )
+        workers: list[WorkerThread] = []
         try:
-            for worker in workers:
-                worker.start()
+            shared.start()
+            workers = start_workers(
+                shared,
+                self.engines,
+                chunks,
+                channel=(
+                    _FaultyChannel(shared, injector, clock)
+                    if injector is not None
+                    else None
+                ),
+                queries=queries,
+                offsets=offsets,
+                batch=self.batch,
+                injector=injector,
+            )
             for worker in workers:
                 worker.join()
         finally:
-            reaper_stop.set()
-            if reaper is not None:
-                reaper.join()
+            shared.stop()
             if store is not None:
                 store.close()
             if sampler is not None:
-                # Stop the sampling thread here; the stream is
-                # finalized only after end-of-run gauges are stamped
-                # (so ``final`` matches the report snapshot), or on the
-                # failure paths below.
+                # The stream is finalized only after end-of-run gauges
+                # are stamped (so ``final`` matches the report
+                # snapshot), or on the failure paths below.
                 sampler.stop()
         for worker in workers:
             if worker.error is not None and not isinstance(
                 worker.error, (InjectedCrash, MasterCrashed)
             ):
-                if sampler is not None:
-                    sampler.close()
+                if writer is not None:
+                    writer.close()
                 raise worker.error
         if shared.crashed:
             # The journal holds everything completed before the crash;
             # running again with the same checkpoint_dir resumes there.
-            if sampler is not None:
-                sampler.close()
+            if writer is not None:
+                writer.close()
             raise MasterCrashed(crash_at)
         makespan = clock()
 
@@ -602,8 +507,8 @@ class HybridRuntime:
         }
         total_cells = sum(t.cells for t in tasks)
         finalize_run_metrics(metrics, makespan, total_cells)
-        if sampler is not None:
-            sampler.close()
+        if writer is not None:
+            writer.close()
         return RunReport(
             makespan=makespan,
             total_cells=total_cells,

@@ -61,7 +61,6 @@ from .registry import (
 )
 from .telemetry import (
     TELEMETRY_SCHEMA,
-    TelemetrySampler,
     TelemetryWriter,
     read_telemetry,
     replay_telemetry,
@@ -84,7 +83,6 @@ __all__ = [
     "parse_openmetrics",
     "TELEMETRY_SCHEMA",
     "TelemetryWriter",
-    "TelemetrySampler",
     "snapshot_delta",
     "read_telemetry",
     "replay_telemetry",

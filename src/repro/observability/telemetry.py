@@ -10,8 +10,8 @@ Clock-agnosticism is the point.  :class:`TelemetryWriter` is pure — it
 never reads a clock or starts a thread; callers hand it a ``clock``
 callable and invoke :meth:`~TelemetryWriter.sample` themselves.  The
 DES drives it from virtual-time events, so a simulated hour of
-telemetry costs milliseconds; :class:`TelemetrySampler` is the
-wall-clock thread driver for the threaded runtime and the cluster.
+telemetry costs milliseconds; the threaded runtime and the cluster
+launcher call it from a :class:`~repro.core.shared.Periodic` thread.
 
 Stream layout (one JSON object per line, all tagged
 ``"schema": "repro.telemetry.v1"``):
@@ -37,7 +37,6 @@ from .registry import merge_snapshots
 
 __all__ = [
     "TELEMETRY_SCHEMA",
-    "TelemetrySampler",
     "TelemetryWriter",
     "read_telemetry",
     "replay_telemetry",
@@ -214,43 +213,6 @@ class TelemetryWriter:
             )
             self._stream.close()
             self._stream = None
-
-
-class TelemetrySampler:
-    """Wall-clock thread driving a :class:`TelemetryWriter`.
-
-    ``stop()`` halts the thread without finalizing the stream (so the
-    caller can stamp end-of-run gauges first); ``close()`` stops and
-    writes the ``final`` record.
-    """
-
-    def __init__(self, writer: TelemetryWriter) -> None:
-        self.writer = writer
-        self._halt = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "TelemetrySampler":
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._thread = threading.Thread(
-            target=self._loop, name="telemetry-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._halt.wait(self.writer.interval):
-            self.writer.sample()
-
-    def stop(self) -> None:
-        self._halt.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def close(self) -> None:
-        self.stop()
-        self.writer.close()
 
 
 def read_telemetry(path: str | Path) -> list[dict]:

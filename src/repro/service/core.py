@@ -270,6 +270,10 @@ class ServiceCore:
         self._next_task_id = (max(ids) + 1) if ids else 0
         self.draining = False
         self.drained = False
+        #: Task ids :meth:`_refill` retired outside a tick (a submit
+        #: found a queued request past its deadline); the next
+        #: :meth:`tick` reports them, so payload stores can drop them.
+        self._refill_retired: list[int] = []
         #: SLO admission state: fleet-rate EWMA, per-tenant prediction
         #: error samples (actual/predicted latency ratios) and the
         #: prediction recorded for each in-flight admitted request.
@@ -710,7 +714,8 @@ class ServiceCore:
         self._refill(now)
         self._check_drained(now)
         self._sync_gauges()
-        return actions
+        retired, self._refill_retired = self._refill_retired, []
+        return actions.merge(TickActions(retired=tuple(retired)))
 
     def _finalize(self, now: float) -> TickActions:
         retired: list[int] = []
@@ -740,9 +745,11 @@ class ServiceCore:
 
     def _expire(self, now: float) -> TickActions:
         actions = TickActions()
+        # ``_by_task`` holds exactly the outstanding requests, in
+        # admission order: a tick costs O(outstanding), not O(admitted).
         expired = [
             request
-            for request in self.requests.values()
+            for request in self._by_task.values()
             if request.state in ("queued", "running")
             and request.deadline is not None
             and request.deadline <= now
@@ -803,6 +810,7 @@ class ServiceCore:
                 # Already out of the fair queue: mark running=False path
                 # directly rather than via _retire's queue.remove.
                 self._by_task.pop(request.task.task_id, None)
+                self._refill_retired.append(request.task.task_id)
                 request.state = "expired"
                 request.finished_at = now
                 self._predicted_at_admit.pop(request.request_id, None)

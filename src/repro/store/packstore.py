@@ -578,6 +578,8 @@ def build_store(
         store.put_profile(
             "padded", key, matrix, (), _padded_profile(codes, matrix)
         )
+        if not len(codes):
+            continue  # the striped engine never profiles an empty query
         for lanes in striped_lanes:
             store.put_profile(
                 "striped",

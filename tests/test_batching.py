@@ -11,7 +11,6 @@ import pytest
 
 from repro.align import BLOSUM62, DEFAULT_GAPS
 from repro.core import (
-    BatchedEngine,
     HybridRuntime,
     InterSequenceEngine,
     ScanEngine,
@@ -135,25 +134,6 @@ class TestEngineSearchBatch:
         )
         assert batch[0] is None
         assert all(batch[i] is not None for i in range(1, 5))
-
-    def test_batched_wrapper_slices_and_matches(self, workload):
-        queries, database = workload
-        inner = InterSequenceEngine(
-            BLOSUM62, DEFAULT_GAPS, top=6, chunk_size=8
-        )
-        wrapper = BatchedEngine(inner, max_batch=2)
-        direct = inner.search_batch(queries, database)
-        sliced = wrapper.search_batch(queries, database)
-        assert [
-            [(h.subject_index, h.score) for h in hits] for hits in sliced
-        ] == [
-            [(h.subject_index, h.score) for h in hits] for hits in direct
-        ]
-
-    def test_batched_wrapper_validation(self):
-        inner = ScanEngine(BLOSUM62, DEFAULT_GAPS)
-        with pytest.raises(ValueError):
-            BatchedEngine(inner, max_batch=0)
 
 
 class TestThreadedEquivalence:

@@ -242,7 +242,7 @@ class TestMasterServer:
 
     def test_wait_finished_timeout(self, server):
         with pytest.raises(TimeoutError):
-            server.wait_finished(timeout=0.05, poll=0.01)
+            server.wait_finished(timeout=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +343,7 @@ class TestResilience:
                 send_message(sock, {"type": "request", "pe_id": "w0"})
                 recv_message(reader)
                 with pytest.raises(TimeoutError) as excinfo:
-                    server.wait_finished(timeout=0.05, poll=0.01)
+                    server.wait_finished(timeout=0.05)
         finally:
             server.stop()
         message = str(excinfo.value)

@@ -26,7 +26,6 @@ from repro.align import (
     sw_score_reference,
 )
 from repro.core import (
-    BatchedEngine,
     InterSequenceEngine,
     ScanEngine,
     StripedSSEEngine,
@@ -76,15 +75,11 @@ def projection(hits):
 
 
 def all_engines(matrix, gaps, top):
-    """One instance of every production engine (plus the batch wrapper)."""
+    """One instance of every production engine."""
     return {
         "striped": StripedSSEEngine(matrix, gaps, top=top, chunk_size=4),
         "inter": InterSequenceEngine(matrix, gaps, top=top, chunk_size=4),
         "scan": ScanEngine(matrix, gaps, top=top, chunk_size=4),
-        "batched": BatchedEngine(
-            InterSequenceEngine(matrix, gaps, top=top, chunk_size=4),
-            max_batch=3,
-        ),
     }
 
 
@@ -96,8 +91,12 @@ class TestRandomisedConformance:
         q = protein_seq(query)
         top = len(database)
         expected = reference_hits(q, database, BLOSUM62, gaps, top)
-        for name, engine in all_engines(BLOSUM62, gaps, top).items():
+        engines = all_engines(BLOSUM62, gaps, top)
+        for name, engine in engines.items():
             assert projection(engine.search(q, database)) == expected, name
+        # The batching path (runtime ``batch=``) on a one-query batch.
+        batched = engines["inter"].search_batch([q], database)[0]
+        assert projection(batched) == expected, "batched"
 
     @given(queries=query_lists, subjects=protein_lists, gaps=gap_models)
     @settings(max_examples=25, deadline=None)
@@ -237,8 +236,8 @@ class TestStoreBackedConformance:
     def test_store_backed_batched_engine_conforms(
         self, tmp_path_factory, queries, subjects, gaps
     ):
-        """The warm multi-query path (store-backed packs under the batch
-        wrapper) stays bit-exact against the reference."""
+        """The warm multi-query path (``search_batch`` over store-backed
+        packs) stays bit-exact against the reference."""
         from repro.store import build_store
 
         root = tmp_path_factory.mktemp("conf-batch-store") / "s"
@@ -250,10 +249,7 @@ class TestStoreBackedConformance:
         expected = [
             reference_hits(q, database, BLOSUM62, gaps, top) for q in qs
         ]
-        warm = BatchedEngine(
-            InterSequenceEngine(BLOSUM62, gaps, top=top, store=str(root)),
-            max_batch=3,
-        )
+        warm = InterSequenceEngine(BLOSUM62, gaps, top=top, store=str(root))
         batch = warm.search_batch(qs, database)
         assert [projection(hits) for hits in batch] == expected
 

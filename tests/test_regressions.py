@@ -192,3 +192,39 @@ for seed in range(3):
         first = self._run("0")
         assert first
         assert self._run("77") == first
+
+
+class TestEmptyQueryStoreRegression:
+    """``build_store`` built a striped profile for every query record.
+
+    An empty record raised ``ValueError: cannot build a striped profile
+    for an empty query``, so ``repro db build --queries`` (and
+    ``repro cluster --store``) crashed on a FASTA that ``repro search``
+    scores as 0 for every subject.
+    """
+
+    def test_store_builds_and_warm_search_matches_cold(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        queries = tmp_path / "q.fasta"
+        database = tmp_path / "d.fasta"
+        store = tmp_path / "store"
+        queries.write_text(">empty\n>q1\nMKVLAWRSTT\n")
+        database.write_text(">s1\nMKVLAW\n>s2\nRSRSRSTT\n>s3\nAAAA\n")
+        assert main(["db", "build", str(database), "--store", str(store),
+                     "--queries", str(queries)]) == 0
+        capsys.readouterr()
+
+        def hits(*extra: str) -> list[str]:
+            assert main(["search", str(queries), str(database),
+                         "--gpus", "1", "--sse", "1", *extra]) == 0
+            return [
+                line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("# makespan")
+            ]
+
+        cold = hits()
+        assert "# query empty (0 residues)" in cold
+        assert hits("--store", str(store)) == cold

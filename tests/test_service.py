@@ -6,6 +6,8 @@ conformance guarantee: hits of admitted requests are byte-identical to
 the one-shot runtime.
 """
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.core.master import Master
 from repro.core.policies import PackageWeightedSelfScheduling
 from repro.core.runtime import HybridRuntime
 from repro.core.task import Task, TaskPool, TaskResult, TaskState
+from repro.sequences import Sequence
 from repro.sequences.synthetic import query_set, random_database
 from repro.service import (
     FairQueue,
@@ -319,6 +322,19 @@ class TestServiceCoreDeadlines:
         assert actions.cancels == ()
         assert core.requests[outcome.request_id].state == "done"
 
+    def test_refill_expiry_is_reported_retired(self):
+        # A submit's refill can find a queued request already past its
+        # deadline; the next tick must still report it retired, or a
+        # payload store keeps its query forever.
+        core = self._core(dispatch_window=1)
+        make_request(core)  # dispatched: fills the window
+        late = make_request(core, deadline=1.0)  # stays queued
+        core.master.on_request("pe1", 0.1)  # the window has room again
+        make_request(core, now=2.0)  # refill expires the queued one
+        request = core.requests[late.request_id]
+        assert request.state == "expired"
+        assert request.task.task_id in core.tick(2.0).retired
+
     def test_default_deadline_applies(self):
         core = self._core(default_deadline=1.0)
         outcome = make_request(core)
@@ -379,6 +395,27 @@ def corpus():
     return database, queries
 
 
+def held_query_payloads(service) -> int:
+    """Admitted queries the service object itself still references.
+
+    Counts the items of every list/dict attribute of the service and of
+    its master facade that hold queries, as :class:`Sequence` objects
+    or as ``{"id", "residues"}`` payloads.
+    """
+    held = 0
+    for owner in (service, service.shared):
+        for value in vars(owner).values():
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                held += sum(
+                    1 for item in value
+                    if isinstance(item, Sequence)
+                    or (isinstance(item, dict) and "residues" in item)
+                )
+    return held
+
+
 class TestThreadedService:
     def _engines(self, count=2, delay=0.0):
         if delay:
@@ -404,6 +441,57 @@ class TestThreadedService:
                 service.wait(outcome.request_id, timeout=30.0)
                 assert service.result(outcome.request_id) == \
                     oneshot[query.id]
+
+    def test_finished_requests_hold_no_query_payloads(self, corpus):
+        # Regression: the threaded service kept every admitted query
+        # for its whole life (N finished requests, N payloads held).
+        database, queries = corpus
+        with ThreadedSearchService(self._engines(), database) as service:
+            outcomes = [service.submit("t", q) for q in queries]
+            for outcome in outcomes:
+                request = service.wait(outcome.request_id, timeout=30.0)
+                assert request.state == "done"
+            assert held_query_payloads(service) == 0
+
+    def test_concurrent_clients_under_fast_thread_switching(self, corpus):
+        # More worker and client threads than cores, switching every
+        # 10 us: every request still ends done with its one-shot hits,
+        # and no query payload outlives its request.
+        database, queries = corpus
+        oneshot = HybridRuntime(self._engines()).run(
+            queries, database, top=5
+        ).results
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadedSearchService(
+                self._engines(count=4), database, top=5
+            ) as service:
+                def client(tenant: str) -> None:
+                    outcomes = [service.submit(tenant, q) for q in queries]
+                    for query, outcome in zip(queries, outcomes):
+                        request = service.wait(outcome.request_id, 60.0)
+                        results[tenant, query.id] = (
+                            request.state, service.result(request.request_id)
+                        )
+
+                clients = [
+                    threading.Thread(target=client, args=(f"t{k}",))
+                    for k in range(3)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120.0)
+                    assert not thread.is_alive()
+                assert held_query_payloads(service) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 3 * len(queries)
+        for (_, query_id), (state, hits) in results.items():
+            assert state == "done"
+            assert hits == oneshot[query_id]
 
     def test_overload_sheds_with_structured_reason(self, corpus):
         database, queries = corpus
@@ -472,3 +560,59 @@ class TestThreadedService:
             assert service.wait(first.request_id, 30.0).state == "done"
         finally:
             service.close()
+
+
+class TestHelperThreadLifecycle:
+    """No periodic or worker thread outlives the environment using it."""
+
+    @staticmethod
+    def _new_threads(before) -> list:
+        return [
+            t for t in threading.enumerate()
+            if t not in before and t.is_alive()
+        ]
+
+    def test_runtime_run_leaves_no_thread(self, corpus, tmp_path):
+        from repro.faults import CrashFault, FaultPlan
+
+        database, queries = corpus
+        engines = {
+            f"pe{i}": ScanEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=8)
+            for i in range(2)
+        }
+        plan = FaultPlan(crashes=(CrashFault(pe_id="pe0", after_tasks=1),))
+        before = set(threading.enumerate())
+        report = HybridRuntime(
+            engines, faults=plan, heartbeat_timeout=0.2,
+            telemetry_path=str(tmp_path / "t.jsonl"),
+            telemetry_interval=0.01,
+        ).run(queries, database)
+        assert len(report.results) == len(queries)
+        assert self._new_threads(before) == []
+
+    @pytest.mark.parametrize("stop", ["close", "crash"])
+    def test_threaded_service_leaves_no_thread(self, corpus, stop):
+        database, queries = corpus
+        before = set(threading.enumerate())
+        service = ThreadedSearchService(
+            {"pe0": ScanEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=8)},
+            database,
+        ).start()
+        outcome = service.submit("t", queries[0])
+        service.wait(outcome.request_id, timeout=30.0)
+        getattr(service, stop)()
+        assert self._new_threads(before) == []
+
+    def test_server_stop_leaves_no_thread(self, corpus):
+        from repro.cluster import MasterServer
+        from repro.core.runtime import build_tasks
+
+        database, queries = corpus
+        before = set(threading.enumerate())
+        server = MasterServer(
+            build_tasks(queries, database), heartbeat_timeout=0.2,
+            service=True,
+        )
+        server.start()
+        server.stop()
+        assert self._new_threads(before) == []

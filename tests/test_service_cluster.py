@@ -363,3 +363,74 @@ class TestChaos:
                 )
         finally:
             server.stop()
+
+
+class TestServeProcess:
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+        """``repro serve --service``: SIGTERM drains, prints, exits 0.
+
+        The signal handler calls ``drain()`` on the main thread while
+        that same thread blocks in ``wait_drained``; the wait must
+        still see the drain complete.
+        """
+        import json
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.sequences import write_fasta
+
+        rng = np.random.default_rng(29)
+        probes = query_set(3, rng, min_length=30, max_length=60)
+        database = random_database(20, 50.0, rng, name="sigterm-db")
+        write_fasta(probes[:1], str(tmp_path / "q.fasta"))
+        write_fasta(list(database), str(tmp_path / "d.fasta"))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             str(tmp_path / "q.fasta"), str(tmp_path / "d.fasta"),
+             "--service", "--port", "0", "--top", "10",
+             "--export", str(tmp_path / "export")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            port = None
+            for line in proc.stdout:
+                if line.startswith("master listening on "):
+                    port = int(line.rsplit(":", 1)[1])
+                    break
+            assert port is not None, "service master did not come up"
+            config = WorkerConfig(
+                host="127.0.0.1", port=port, pe_id="w0", engine="scan",
+                query_path=str(tmp_path / "export" / "queries.seqx"),
+                database_path=str(tmp_path / "export" / "database.seqx"),
+            )
+            worker = threading.Thread(
+                target=run_worker, args=(config,), daemon=True
+            )
+            worker.start()
+            with ServiceClient("127.0.0.1", port) as client:
+                admitted = [client.submit(q)["request_id"] for q in probes]
+                for query, request_id in zip(probes, admitted):
+                    status = client.wait(request_id, timeout=60)
+                    assert status["state"] == "done"
+                    assert status["hits"] == expected_hits(query, database)
+                assert client.poll(admitted[0])["state"] == "done"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            lines = proc.stdout.read().splitlines()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        final = json.loads(lines[-1])
+        assert final["kind"] == "service_final"
+        assert final["drained"] is True
+        assert final["requests"]["done"] == len(probes)

@@ -19,11 +19,11 @@ from repro.align import BLOSUM62, DEFAULT_GAPS
 from repro.cluster import MasterServer, WorkerConfig, run_cluster, run_worker
 from repro.core.engines import ScanEngine
 from repro.core.runtime import HybridRuntime, build_tasks
+from repro.core.shared import Periodic
 from repro.observability import (
     MetricsRegistry,
     OpenMetricsParseError,
     TELEMETRY_SCHEMA,
-    TelemetrySampler,
     TelemetryWriter,
     openmetrics_text,
     parse_openmetrics,
@@ -247,9 +247,10 @@ class TestTelemetryWriter:
             time.monotonic,
             interval=0.02,
         )
-        sampler = TelemetrySampler(writer).start()
+        sampler = Periodic(writer.interval, writer.sample, "t").start()
         time.sleep(0.15)
-        sampler.close()
+        sampler.stop()
+        writer.close()
         records = read_telemetry(tmp_path / "stream.jsonl")
         assert [r["record"] for r in records][0] == "header"
         assert [r["record"] for r in records][-1] == "final"
