@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.align import BLOSUM62, DEFAULT_GAPS
 from repro.core import HybridRuntime, ScanEngine, StripedSSEEngine
+from repro.durability import CheckpointStore
 from repro.sequences import query_set, random_database
 
 from conftest import emit
@@ -42,8 +43,10 @@ def _engines():
 def _run(queries, database, checkpoint_dir=None, sync_every=1):
     runtime = HybridRuntime(
         _engines(),
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_sync_every=sync_every,
+        checkpoint_dir=(
+            None if checkpoint_dir is None
+            else CheckpointStore(checkpoint_dir, sync_every=sync_every)
+        ),
     )
     return runtime.run(queries, database)
 

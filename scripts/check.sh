@@ -6,6 +6,8 @@
 # seeded fault-plan run per environment (DES, threaded runtime, TCP
 # cluster) that must finish every task with fault-free-identical
 # results, with the DES run's fault events surfaced by trace analyze,
+# plus a messages-only plan with adjustment off in the threaded runtime
+# and the TCP cluster (drops and duplicates must fire),
 # plus a DES service run (one crash, one straggler) that must drain
 # with every admitted request done and replay identically,
 # and finally a durability stage: a seeded master-kill/resume
@@ -330,7 +332,7 @@ import numpy as np
 from repro.align import BLOSUM62, DEFAULT_GAPS
 from repro.cluster import run_cluster
 from repro.core import HybridRuntime, ScanEngine
-from repro.faults import CrashFault, FaultPlan, StragglerFault
+from repro.faults import CrashFault, FaultPlan, MessageFaults, StragglerFault
 from repro.sequences import query_set, random_database
 
 
@@ -383,6 +385,32 @@ assert hits(faulted.results) == hits(baseline.results)
 assert any(e["kind"] == "fault_crash" for e in faulted.events)
 assert any(e["kind"] == "fault_straggle" for e in faulted.events)
 print("cluster chaos OK: crash + straggle recovered, results identical")
+
+# Message faults only, with no replicas to mask a lost task: the one
+# fault gate of the slave loop must lose, hold, repeat and delay
+# messages in both environments without losing work.
+messages = FaultPlan(
+    seed=4,
+    messages=MessageFaults(
+        drop_rate=0.15, duplicate_rate=0.15, delay_rate=0.1,
+        delay_seconds=0.005, corrupt_rate=0.05,
+    ),
+)
+runs = {
+    "threaded": lambda faults: HybridRuntime(
+        engines(), adjustment=False, faults=faults
+    ).run(queries, database),
+    "cluster": lambda faults: run_cluster(
+        queries, database, dict(workers), use_processes=False,
+        adjustment=False, timeout=60, faults=faults,
+    ),
+}
+for name, run in runs.items():
+    faulted = run(messages)
+    assert hits(faulted.results) == hits(run(None).results), name
+    kinds = {e["kind"] for e in faulted.events}
+    assert {"fault_drop", "fault_duplicate"} <= kinds, (name, kinds)
+    print(f"{name} message chaos OK (no adjustment): results identical")
 PY
 
 echo

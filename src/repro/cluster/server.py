@@ -274,10 +274,34 @@ class MasterServer(socketserver.ThreadingTCPServer):
         database_residues: int | None = None,
         top: int = 10,
     ):
+        # Every argument is checked before the port is bound, so a
+        # refused configuration leaks no socket.
+        if master is not None and checkpoint is not None:
+            raise ValueError(
+                "pass either master= (adopt live state) or checkpoint= "
+                "(recover from disk), not both"
+            )
+        if isinstance(service, ServiceCore) and service.master is not master:
+            raise ValueError(
+                "adopted ServiceCore must wrap the adopted master"
+            )
+        #: Database residue count used to cost admitted requests
+        #: (query_length x this).  Inferred from the preloaded tasks
+        #: when possible.
+        if database_residues is None and tasks:
+            first = tasks[0]
+            if first.query_length > 0:
+                database_residues = first.cells // first.query_length
+        self.database_residues = int(database_residues or 0)
+        if service and self.database_residues <= 0:
+            raise ValueError(
+                "service mode needs database_residues= (no preloaded "
+                "tasks to infer the database size from)"
+            )
         #: Warm-start pack store the fleet's workers mmap from.  The
-        #: master never reads packs itself; verifying the store (before
-        #: even binding the port) fails the deployment up front instead
-        #: of letting a worker trip over a corrupt shard mid-run.
+        #: master never reads packs itself; verifying the store fails
+        #: the deployment up front instead of letting a worker trip
+        #: over a corrupt shard mid-run.
         self.pack_store = None
         if store is not None:
             from ..store import PackStore
@@ -287,11 +311,6 @@ class MasterServer(socketserver.ThreadingTCPServer):
             )
             self.pack_store.verify()
         super().__init__((host, port), _Handler)
-        if master is not None and checkpoint is not None:
-            raise ValueError(
-                "pass either master= (adopt live state) or checkpoint= "
-                "(recover from disk), not both"
-            )
         self._store: CheckpointStore | None = None
         self._recovered = None
         if master is not None:
@@ -321,19 +340,6 @@ class MasterServer(socketserver.ThreadingTCPServer):
                 batch=batch,
             )
         self.inst = cluster_server_instruments(self.metrics)
-        #: Database residue count used to cost admitted requests
-        #: (query_length x this).  Inferred from the preloaded tasks
-        #: when possible.
-        if database_residues is None and tasks:
-            first = tasks[0]
-            if first.query_length > 0:
-                database_residues = first.cells // first.query_length
-        self.database_residues = int(database_residues or 0)
-        if service and self.database_residues <= 0:
-            raise ValueError(
-                "service mode needs database_residues= (no preloaded "
-                "tasks to infer the database size from)"
-            )
         self._started = time.perf_counter()
         #: The one master facade every handler goes through; its
         #: (re-entrant) lock serialises all master and service state,

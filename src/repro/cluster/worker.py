@@ -39,7 +39,7 @@ from .protocol import (
     send_message,
 )
 
-__all__ = ["WorkerConfig", "ResilientLink", "run_worker"]
+__all__ = ["WorkerConfig", "WorkerLink", "run_worker"]
 
 _ENGINE_CLASSES: dict[str, "type[Engine]"] = {
     "gpu": InterSequenceEngine,
@@ -49,9 +49,6 @@ _ENGINE_CLASSES: dict[str, "type[Engine]"] = {
 
 #: Idle wait between polls when the master says "wait".
 _WAIT_SECONDS = 0.02
-
-#: Pause before retransmitting a dropped must-deliver message.
-_RETRANSMIT_SECONDS = 0.005
 
 
 @dataclass(frozen=True)
@@ -113,72 +110,6 @@ class WorkerConfig:
         )
 
 
-class _Link:
-    """One persistent connection with request/response semantics.
-
-    ``observe`` is an optional ``(message_type, seconds) -> None`` sink
-    fed the worker-observed round-trip time of every call.  Passing
-    shared ``cancelled``/``spans`` containers lets
-    :class:`ResilientLink` carry task bookkeeping across reconnects.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        observe=None,
-        connect_timeout: float = 10.0,
-        io_timeout: float = 60.0,
-        cancelled: set[int] | None = None,
-        spans: dict[int, dict] | None = None,
-    ):
-        self._sock = socket.create_connection(
-            (host, port), timeout=connect_timeout
-        )
-        self._sock.settimeout(io_timeout)
-        # The protocol is tiny request/response frames; Nagle only adds
-        # latency here.
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._reader = self._sock.makefile("rb")
-        self.cancelled: set[int] = set() if cancelled is None else cancelled
-        #: Span context of each granted task, from the assign reply's
-        #: ``spans`` map; echoed back on progress/complete/cancelled.
-        self.spans: dict[int, dict] = {} if spans is None else spans
-        self._observe = observe
-
-    def send_raw(self, payload: bytes) -> None:
-        """Ship raw bytes, bypassing framing (fault injection only)."""
-        self._sock.sendall(payload)
-
-    def call(self, message: dict) -> dict:
-        started = time.perf_counter()
-        send_message(self._sock, message)
-        reply = recv_message(self._reader)
-        if self._observe is not None:
-            self._observe(
-                str(message.get("type")), time.perf_counter() - started
-            )
-        if reply is None:
-            raise ProtocolError("master closed the connection")
-        if reply.get("type") == "error":
-            raise ProtocolError(f"master error: {reply.get('message')}")
-        self.cancelled.update(int(t) for t in reply.get("cancel", []))
-        for task_id, fields in (reply.get("spans") or {}).items():
-            if isinstance(fields, dict):
-                self.spans[int(task_id)] = {
-                    key: str(value)
-                    for key, value in fields.items()
-                    if key in ("trace", "span", "parent") and value
-                }
-        return reply
-
-    def close(self) -> None:
-        try:
-            self._reader.close()
-        finally:
-            self._sock.close()
-
-
 class _StatsPublisher:
     """Throttled metric snapshots piggybacked on outgoing messages.
 
@@ -220,147 +151,238 @@ class _StatsPublisher:
         return out
 
 
-class ResilientLink:
-    """A self-healing connection to the master.
+class WorkerLink:
+    """The slave loop's self-healing link to the master over TCP.
 
-    Wraps :class:`_Link` with reconnect-and-retry semantics: when a
-    call fails with a socket or protocol error the link is dropped and
+    One persistent connection with request/response frames (see
+    :mod:`repro.core.slave` for the link protocol).  When a call fails
+    with a socket or protocol error the connection is dropped and
     re-established with exponential backoff (deterministically jittered
     per PE), the worker re-registers under a fresh ``attempt`` id — the
     master retires the stale registration and re-queues its tasks — and
-    the failed message is re-sent.  Cancellation flags and span
-    contexts live here, not in the transient :class:`_Link`, so they
-    survive reconnects.
+    the failed message is re-sent.  Cancellation flags, the span
+    context of each granted task and the inline queries of service
+    tasks live on the link, not on a connection, so they survive
+    reconnects.
 
-    An optional :class:`FaultInjector` perturbs outgoing traffic for
-    chaos tests: partitions stall the worker until the window heals,
-    dropped ``complete``/``cancelled`` frames are retransmitted
-    (at-least-once — the master dedupes), dropped polls simply yield an
-    empty grant, and corrupted frames poison the connection so the
-    reconnect path is exercised for real.
+    ``observe`` is an optional ``(message_type, seconds) -> None`` sink
+    fed the worker-observed round-trip time of every call; ``stats``
+    piggybacks metric snapshots on outgoing messages; given an event
+    log, the link records ``worker_task_start``/``worker_task_end`` on
+    the master's timeline.
     """
+
+    idle_seconds = _WAIT_SECONDS
 
     def __init__(
         self,
         config: WorkerConfig,
+        queries: IndexedReader,
+        alphabet,
+        *,
         observe=None,
-        injector: FaultInjector | None = None,
-        clock=None,
         on_connect=None,
         stats: _StatsPublisher | None = None,
+        events: EventLog | None = None,
+        clock,
     ):
-        self._config = config
-        self._observe = observe
-        self._injector = injector
-        self._clock = clock or time.perf_counter
-        self._on_connect = on_connect
-        self._stats = stats
-        self.cancelled: set[int] = set()
+        self.pe_id = config.pe_id
+        self.cancels: set[int] = set()
+        #: Span context of each granted task, from the assign reply's
+        #: ``spans`` map; echoed back on progress/complete/cancelled.
         self.spans: dict[int, dict] = {}
         #: Incarnation counter sent with ``register``; bumped on every
         #: successful (re-)connect so the master can tell a reconnect
         #: from a duplicate.
         self.attempt = 0
+        self._config = config
+        self._queries = queries
+        self._alphabet = alphabet
+        self._observe = observe
+        self._on_connect = on_connect
+        self._stats = stats
+        self._events = events
+        self._clock = clock
         self._jitter = random.Random(f"repro.worker:{config.pe_id}")
-        self._link: _Link | None = None
+        self._sock: socket.socket | None = None
+        self._reader = None
+        #: Inline query sequences of service-admitted tasks (protocol
+        #: 4 ``queries`` map on assign), keyed by task id.
+        self._inline: dict[int, Sequence] = {}
+
+    # -- connection -----------------------------------------------------
 
     def connect(self) -> None:
-        """(Re-)establish the link and register a fresh incarnation."""
+        """(Re-)establish the connection and register a fresh incarnation."""
         config = self._config
+        message: dict = {
+            "type": "register",
+            "pe_id": self.pe_id,
+            "protocol": PROTOCOL_VERSION,
+        }
+        if self.attempt:
+            message["attempt"] = self.attempt
         delay = config.backoff_base
         for tries in range(config.reconnect_attempts + 1):
-            link = None
             try:
-                link = _Link(
-                    config.host,
-                    config.port,
-                    observe=self._observe,
-                    connect_timeout=config.connect_timeout,
-                    io_timeout=config.io_timeout,
-                    cancelled=self.cancelled,
-                    spans=self.spans,
+                self._sock = socket.create_connection(
+                    (config.host, config.port),
+                    timeout=config.connect_timeout,
                 )
-                message: dict = {
-                    "type": "register",
-                    "pe_id": config.pe_id,
-                    "protocol": PROTOCOL_VERSION,
-                }
-                if self.attempt:
-                    message["attempt"] = self.attempt
-                link.call(message)
+                self._sock.settimeout(config.io_timeout)
+                # The protocol is tiny request/response frames; Nagle
+                # only adds latency here.
+                self._sock.setsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+                )
+                self._reader = self._sock.makefile("rb")
+                self._round_trip(message)
             except (OSError, ProtocolError):
-                if link is not None:
-                    link.close()
+                self.close()
                 if tries >= config.reconnect_attempts:
                     raise
                 time.sleep(delay * (0.5 + self._jitter.random()))
                 delay = min(delay * 2, config.backoff_max)
                 continue
-            self._link = link
             self.attempt += 1
             if self._on_connect is not None:
                 self._on_connect()
             return
 
-    def _drop(self) -> None:
-        if self._link is not None:
-            self._link.close()
-            self._link = None
-
-    def _call_once(self, message: dict) -> dict:
-        """One delivery attempt, reconnecting on a broken link."""
-        config = self._config
-        for tries in range(config.reconnect_attempts + 1):
-            if self._link is None:
-                self.connect()
-            assert self._link is not None
-            try:
-                return self._link.call(message)
-            except (OSError, ProtocolError):
-                self._drop()
-                if tries >= config.reconnect_attempts:
-                    raise
-        raise ConnectionError(
-            f"{config.pe_id}: master unreachable after "
-            f"{config.reconnect_attempts} reconnect attempts"
-        )
-
-    def call(self, message: dict) -> dict:
-        if self._stats is not None:
-            message = self._stats.attach(message)
-        mtype = str(message.get("type"))
-        injector = self._injector
-        if injector is not None:
-            pe = self._config.pe_id
-            wait = injector.partition_remaining(pe, self._clock())
-            if wait > 0:
-                time.sleep(wait)
-            action = injector.message_action(pe, mtype, now=self._clock())
-            if action == "drop":
-                if mtype in ("complete", "cancelled"):
-                    # Must-deliver message: the frame is lost, the
-                    # worker notices the missing ack and retransmits.
-                    time.sleep(_RETRANSMIT_SECONDS)
-                else:
-                    # A lost poll just looks like an empty grant.
-                    return {"type": "ack", "wait": True, "cancel": []}
-            elif action == "delay":
-                time.sleep(injector.delay_seconds)
-            elif action == "corrupt":
-                # Poison the stream: the master answers with an error
-                # and hangs up, so the resend below must reconnect.
-                link = self._link
-                if link is not None:
-                    try:
-                        link.send_raw(b"!corrupt-frame!\n")
-                    except OSError:
-                        pass
-            elif action == "duplicate":
-                self._call_once(message)  # extra copy; master dedupes
-        return self._call_once(message)
-
     def close(self) -> None:
-        self._drop()
+        """Drop the connection (the next call reconnects)."""
+        try:
+            if self._reader is not None:
+                self._reader.close()
+        finally:
+            if self._sock is not None:
+                self._sock.close()
+            self._sock = self._reader = None
+
+    def poison(self) -> None:
+        """Corrupt the stream with a garbage frame.
+
+        The master answers with an error and hangs up, so the next
+        message goes out over a fresh connection.
+        """
+        if self._sock is not None:
+            try:
+                self._sock.sendall(b"!corrupt-frame!\n")
+            except OSError:
+                pass
+
+    def _round_trip(self, message: dict) -> dict:
+        """One frame out and its reply back on the current connection."""
+        started = time.perf_counter()
+        send_message(self._sock, message)
+        reply = recv_message(self._reader)
+        if self._observe is not None:
+            self._observe(
+                str(message.get("type")), time.perf_counter() - started
+            )
+        if reply is None:
+            raise ProtocolError("master closed the connection")
+        if reply.get("type") == "error":
+            raise ProtocolError(f"master error: {reply.get('message')}")
+        self.cancels.update(int(t) for t in reply.get("cancel", []))
+        for task_id, fields in (reply.get("spans") or {}).items():
+            if isinstance(fields, dict):
+                self.spans[int(task_id)] = {
+                    key: str(value)
+                    for key, value in fields.items()
+                    if key in ("trace", "span", "parent") and value
+                }
+        return reply
+
+    def _call(self, message: dict) -> dict:
+        """Deliver *message* once, reconnecting on a broken link."""
+        tries = 0
+        while True:
+            if self._sock is None:
+                self.connect()
+            try:
+                return self._round_trip(message)
+            except (OSError, ProtocolError):
+                self.close()
+                if tries >= self._config.reconnect_attempts:
+                    raise
+                tries += 1
+
+    def _with_stats(self, message: dict) -> dict:
+        if self._stats is None:
+            return message
+        return self._stats.attach(message)
+
+    # -- the slave loop's link protocol ---------------------------------
+
+    def request(self) -> tuple[Assignment, int]:
+        reply = self._call({"type": "request", "pe_id": self.pe_id})
+        # Decoded with the engine's alphabet so scoring is identical to
+        # an indexed-file fetch.
+        for task_id, data in (reply.get("queries") or {}).items():
+            self._inline[int(task_id)] = Sequence(
+                id=str(data["id"]),
+                residues=str(data["residues"]),
+                alphabet=self._alphabet,
+            )
+        assignment = Assignment(
+            tasks=tuple(decode_task(t) for t in reply.get("tasks", [])),
+            replicas=tuple(
+                decode_task(t) for t in reply.get("replicas", [])
+            ),
+            done=bool(reply.get("done")),
+        )
+        return assignment, int(reply.get("batch", self._config.batch) or 1)
+
+    def query(self, task: Task) -> Sequence:
+        """The task's query: indexed file, or inline for service tasks."""
+        if task.query_index >= 0:
+            query = self._queries[task.query_index]
+        else:
+            query = self._inline.get(task.task_id)
+            if query is None:
+                raise ProtocolError(
+                    f"task {task.task_id} has no query_index and the "
+                    "master sent no inline query (protocol 4 required)"
+                )
+        if self._events is not None:
+            self._events.emit(
+                "worker_task_start", self._clock(), pe=self.pe_id,
+                task=task.task_id, **self.spans.get(task.task_id, {}),
+            )
+        return query
+
+    def progress(self, task: Task, cells: float, interval: float) -> None:
+        span = self.spans.get(task.task_id, {})
+        self._call(self._with_stats({
+            "type": "progress", "pe_id": self.pe_id,
+            "cells": cells, "interval": interval, **span,
+        }))
+
+    def _finish(self, task: Task, outcome: str, fields: dict):
+        """End *task* on the worker once; return its message's transport."""
+        self._inline.pop(task.task_id, None)
+        span = self.spans.pop(task.task_id, {})
+        message = self._with_stats({
+            "type": outcome, "pe_id": self.pe_id,
+            "task_id": task.task_id, **fields, **span,
+        })
+        if self._events is not None:
+            self._events.emit(
+                "worker_task_end", self._clock(), pe=self.pe_id,
+                task=task.task_id, outcome=outcome, **span,
+            )
+        return lambda: self._call(message)
+
+    def complete(self, task: Task, hits, elapsed: float):
+        return self._finish(task, "complete", {
+            "elapsed": elapsed,
+            "cells": task.cells,
+            "hits": [encode_hit(h) for h in hits],
+        })
+
+    def cancelled(self, task: Task):
+        return self._finish(task, "cancelled", {})
 
 
 def run_worker(
@@ -422,121 +444,20 @@ def run_worker(
         database = SequenceDatabase.from_indexed(
             config.database_path, alphabet=matrix.alphabet
         )
-        link = ResilientLink(
+        link = WorkerLink(
             config,
+            queries,
+            matrix.alphabet,
             observe=observe_roundtrip,
-            injector=injector,
-            clock=clock,
             on_connect=lambda: inst.connects.labels(pe=config.pe_id).inc(),
             stats=publisher,
+            events=events,
+            clock=clock,
         )
         try:
             link.connect()
-            wire = _WireLink(
-                link, config, queries, matrix.alphabet, events, clock
-            )
             return serve(
-                wire, engine, [database], clock=clock, injector=injector
+                link, engine, [database], clock=clock, injector=injector
             )
         finally:
             link.close()
-
-
-class _WireLink:
-    """The slave loop's link over TCP (see :mod:`repro.core.slave`).
-
-    Encodes each notification as a wire message carrying the task's
-    span context, decodes ``assign`` replies (inline queries of
-    service-admitted tasks included) and, given an event log, records
-    ``worker_task_start``/``worker_task_end`` on the master's timeline.
-    """
-
-    idle_seconds = _WAIT_SECONDS
-
-    def __init__(
-        self,
-        link: ResilientLink,
-        config: WorkerConfig,
-        queries: IndexedReader,
-        alphabet,
-        events: EventLog | None,
-        clock,
-    ):
-        self.pe_id = config.pe_id
-        self.cancels = link.cancelled
-        self._link = link
-        self._batch = config.batch
-        self._queries = queries
-        self._alphabet = alphabet
-        self._events = events
-        self._clock = clock
-        #: Inline query sequences of service-admitted tasks (protocol
-        #: 4 ``queries`` map on assign), keyed by task id.
-        self._inline: dict[int, Sequence] = {}
-
-    def request(self) -> tuple[Assignment, int]:
-        reply = self._link.call({"type": "request", "pe_id": self.pe_id})
-        # Decoded with the engine's alphabet so scoring is identical to
-        # an indexed-file fetch.
-        for task_id, data in (reply.get("queries") or {}).items():
-            self._inline[int(task_id)] = Sequence(
-                id=str(data["id"]),
-                residues=str(data["residues"]),
-                alphabet=self._alphabet,
-            )
-        assignment = Assignment(
-            tasks=tuple(decode_task(t) for t in reply.get("tasks", [])),
-            replicas=tuple(
-                decode_task(t) for t in reply.get("replicas", [])
-            ),
-            done=bool(reply.get("done")),
-        )
-        return assignment, int(reply.get("batch", self._batch) or 1)
-
-    def query(self, task: Task) -> Sequence:
-        """The task's query: indexed file, or inline for service tasks."""
-        if task.query_index >= 0:
-            query = self._queries[task.query_index]
-        else:
-            query = self._inline.get(task.task_id)
-            if query is None:
-                raise ProtocolError(
-                    f"task {task.task_id} has no query_index and the "
-                    "master sent no inline query (protocol 4 required)"
-                )
-        if self._events is not None:
-            self._events.emit(
-                "worker_task_start", self._clock(), pe=self.pe_id,
-                task=task.task_id, **self._link.spans.get(task.task_id, {}),
-            )
-        return query
-
-    def progress(self, task: Task, cells: float, interval: float) -> None:
-        span = self._link.spans.get(task.task_id, {})
-        self._link.call({
-            "type": "progress", "pe_id": self.pe_id,
-            "cells": cells, "interval": interval, **span,
-        })
-
-    def _finish(self, task: Task, outcome: str, message: dict) -> None:
-        self._inline.pop(task.task_id, None)
-        span = self._link.spans.pop(task.task_id, {})
-        self._link.call({
-            "type": outcome, "pe_id": self.pe_id,
-            "task_id": task.task_id, **message, **span,
-        })
-        if self._events is not None:
-            self._events.emit(
-                "worker_task_end", self._clock(), pe=self.pe_id,
-                task=task.task_id, outcome=outcome, **span,
-            )
-
-    def complete(self, task: Task, hits, elapsed: float) -> None:
-        self._finish(task, "complete", {
-            "elapsed": elapsed,
-            "cells": task.cells,
-            "hits": [encode_hit(h) for h in hits],
-        })
-
-    def cancelled(self, task: Task) -> None:
-        self._finish(task, "cancelled", {})

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..align.api import SearchHit
-from ..durability import open_master
+from ..durability import CheckpointStore, open_master
 from ..faults import FaultInjector, FaultPlan, InjectedCrash, MasterCrashed
 from ..observability import EventLog, MetricsRegistry, finalize_run_metrics
 from ..sequences.database import SequenceDatabase
@@ -48,9 +48,6 @@ _WAIT_POLL_SECONDS = 0.002
 #: ``heartbeat_timeout`` was given — generous against progress
 #: notifications that arrive every few milliseconds.
 _DEFAULT_HEARTBEAT_SECONDS = 1.0
-
-#: Pause before a dropped-but-required message is retransmitted.
-_RETRANSMIT_SECONDS = 0.005
 
 
 def build_tasks(
@@ -102,93 +99,13 @@ class RunReport:
         return self.total_cells / self.makespan / 1e9 if self.makespan else 0.0
 
 
-class _FaultyChannel:
-    """Transport-fault decorator over :class:`SharedMaster`.
-
-    Models the worker-master link as at-least-once: messages the
-    protocol cannot afford to lose (``complete``/``cancelled``) are
-    retransmitted after a short pause instead of vanishing, while
-    ``request`` polls and ``progress`` samples are genuinely lossy (the
-    worker polls again / the next sample subsumes the lost one).
-    Partitioned PEs stall: their deliveries block until the window
-    heals, which is exactly what lets the heartbeat reaper fire.
-    """
-
-    def __init__(self, shared: SharedMaster, injector: FaultInjector, clock):
-        self._shared = shared
-        self._injector = injector
-        self._clock = clock
-
-    def request(self, pe_id: str, now: float):
-        if self._injector.partition_remaining(pe_id, now) > 0:
-            time.sleep(_WAIT_POLL_SECONDS)
-            return Assignment(), [], {}
-        action = self._injector.message_action(
-            pe_id, "request", now, allow=("drop", "delay")
-        )
-        if action == "drop":
-            return Assignment(), [], {}  # lost poll: the worker asks again
-        if action == "delay":
-            time.sleep(self._injector.delay_seconds)
-        return self._shared.request(pe_id, self._clock())
-
-    def progress(self, pe_id: str, now: float, cells: float, interval: float):
-        if self._injector.partition_remaining(pe_id, now) > 0:
-            return []  # sample lost in the partition
-        action = self._injector.message_action(
-            pe_id, "progress", now, allow=("drop", "duplicate", "delay")
-        )
-        if action == "drop":
-            return []
-        if action == "delay":
-            time.sleep(self._injector.delay_seconds)
-            now = self._clock()
-        cancels = self._shared.progress(pe_id, now, cells, interval)
-        if action == "duplicate":
-            cancels += self._shared.progress(pe_id, now, cells, interval)
-        return cancels
-
-    def _must_deliver(self, pe_id: str, kind: str, now: float, send):
-        """Deliver ``send(now)`` at least once, through partitions/drops."""
-        wait = self._injector.partition_remaining(pe_id, now)
-        if wait > 0:
-            time.sleep(wait)
-            now = self._clock()
-        action = self._injector.message_action(
-            pe_id, kind, now, allow=("drop", "duplicate", "delay")
-        )
-        if action == "drop":
-            time.sleep(_RETRANSMIT_SECONDS)  # retransmission pause
-            now = self._clock()
-        elif action == "delay":
-            time.sleep(self._injector.delay_seconds)
-            now = self._clock()
-        cancels = send(now)
-        if action == "duplicate":
-            # The duplicate is stale by definition; the master dedupes.
-            cancels += send(self._clock())
-        return cancels
-
-    def complete(self, pe_id: str, result: TaskResult, now: float):
-        return self._must_deliver(
-            pe_id, "complete", now,
-            lambda t: self._shared.complete(pe_id, result, t),
-        )
-
-    def cancelled(self, pe_id: str, task_id: int, now: float):
-        return self._must_deliver(
-            pe_id, "cancelled", now,
-            lambda t: self._shared.cancelled(pe_id, task_id, t),
-        )
-
-
 class LocalLink:
     """One worker thread's link to the in-process master (see ``slave``).
 
-    Applies the chunk offsets (engines rank hits within their chunk;
-    the master merges database-wide indices), resolves service tasks'
-    queries from the payloads granted with them, and counts
-    completions.
+    Calls the :class:`SharedMaster` directly, applies the chunk offsets
+    (engines rank hits within their chunk; the master merges
+    database-wide indices), resolves service tasks' queries from the
+    payloads granted with them, and counts completions.
     """
 
     idle_seconds = _WAIT_POLL_SECONDS
@@ -196,27 +113,25 @@ class LocalLink:
     def __init__(
         self,
         pe_id: str,
-        channel: "SharedMaster | _FaultyChannel",
+        shared: SharedMaster,
         queries: list[Sequence],
         chunk_offsets: list[int],
         batch: int,
-        clock,
     ):
         self.pe_id = pe_id
         self.cancels: set[int] = set()
         self.tasks_done = 0
-        self._channel = channel
+        self._shared = shared
         self._queries = queries
         self._offsets = chunk_offsets
         self._batch = batch
-        self._clock = clock
         #: Query payloads of the service tasks in the last assignment
         #: (the slave loop runs an assignment out before asking again).
         self._payloads: dict[int, dict] = {}
 
     def request(self) -> tuple[Assignment, int]:
-        assignment, cancels, self._payloads = self._channel.request(
-            self.pe_id, self._clock()
+        assignment, cancels, self._payloads = self._shared.request(
+            self.pe_id, self._shared.clock()
         )
         self.cancels.update(cancels)
         return assignment, self._batch
@@ -229,10 +144,12 @@ class LocalLink:
 
     def progress(self, task: Task, cells: float, interval: float) -> None:
         self.cancels.update(
-            self._channel.progress(self.pe_id, self._clock(), cells, interval)
+            self._shared.progress(
+                self.pe_id, self._shared.clock(), cells, interval
+            )
         )
 
-    def complete(self, task: Task, hits, elapsed: float) -> None:
+    def complete(self, task: Task, hits, elapsed: float):
         result = TaskResult(
             task_id=task.task_id,
             pe_id=self.pe_id,
@@ -240,14 +157,16 @@ class LocalLink:
             cells=task.cells,
             payload=offset_hits(hits, self._offsets[task.chunk_index]),
         )
-        self.cancels.update(
-            self._channel.complete(self.pe_id, result, self._clock())
-        )
         self.tasks_done += 1
+        return lambda: self.cancels.update(
+            self._shared.complete(self.pe_id, result, self._shared.clock())
+        )
 
-    def cancelled(self, task: Task) -> None:
-        self.cancels.update(
-            self._channel.cancelled(self.pe_id, task.task_id, self._clock())
+    def cancelled(self, task: Task):
+        return lambda: self.cancels.update(
+            self._shared.cancelled(
+                self.pe_id, task.task_id, self._shared.clock()
+            )
         )
 
 
@@ -283,7 +202,6 @@ def start_workers(
     engines: dict[str, Engine],
     chunks: list[SequenceDatabase],
     *,
-    channel: "_FaultyChannel | None" = None,
     queries: list[Sequence] | None = None,
     offsets: list[int] | None = None,
     batch: int = 1,
@@ -291,16 +209,14 @@ def start_workers(
 ) -> list[WorkerThread]:
     """Register one worker thread per engine with *shared*; start them.
 
-    *channel* (default: *shared* itself) is what the workers talk to;
     *queries* and *offsets* resolve preloaded tasks' queries and chunk
-    offsets.
+    offsets; *injector* applies a fault plan to every worker.
     """
     clock = shared.clock
     workers = [
         WorkerThread(
             LocalLink(
-                pe_id, channel or shared, queries or [],
-                offsets or [0], batch, clock,
+                pe_id, shared, queries or [], offsets or [0], batch
             ),
             engine,
             chunks,
@@ -332,9 +248,7 @@ class HybridRuntime:
         omega: int = 8,
         faults: FaultPlan | None = None,
         heartbeat_timeout: float | None = None,
-        checkpoint_dir: str | None = None,
-        checkpoint_sync_every: int = 1,
-        checkpoint_compact_every: int = 0,
+        checkpoint_dir: "str | CheckpointStore | None" = None,
         batch: int = 1,
         telemetry_path: str | None = None,
         telemetry_interval: float = 1.0,
@@ -354,12 +268,12 @@ class HybridRuntime:
         #: Reap slaves silent for this long.  ``None`` enables a safe
         #: default whenever faults are injected; ``0`` disables reaping.
         self.heartbeat_timeout = heartbeat_timeout
-        #: Journal master state under this directory; a directory left
-        #: behind by a crashed run is recovered before workers start,
-        #: so finished tasks are never recomputed.
+        #: Journal master state under this directory (or into this
+        #: unopened :class:`CheckpointStore`, for a non-default sync or
+        #: compaction cadence); a directory left behind by a crashed
+        #: run is recovered before workers start, so finished tasks are
+        #: never recomputed.
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_sync_every = checkpoint_sync_every
-        self.checkpoint_compact_every = checkpoint_compact_every
         #: Coalesce up to this many compatible tasks per assignment into
         #: one multi-query engine sweep (1 = the paper's behaviour).
         self.batch = batch
@@ -423,8 +337,6 @@ class HybridRuntime:
         master, store, _ = open_master(
             tasks,
             self.checkpoint_dir,
-            sync_every=self.checkpoint_sync_every,
-            compact_every=self.checkpoint_compact_every,
             now=clock(),
             policy=self.policy,
             adjustment=self.adjustment,
@@ -459,11 +371,6 @@ class HybridRuntime:
                 shared,
                 self.engines,
                 chunks,
-                channel=(
-                    _FaultyChannel(shared, injector, clock)
-                    if injector is not None
-                    else None
-                ),
                 queries=queries,
                 offsets=offsets,
                 batch=self.batch,

@@ -100,10 +100,6 @@ class SharedMaster:
         top: int = 10,
         database_residues: int = 0,
     ):
-        if service is not None and service.master is not master:
-            raise ValueError(
-                "adopted ServiceCore must wrap the adopted master"
-            )
         self.master = master
         self.clock = clock
         self.lock = threading.RLock()

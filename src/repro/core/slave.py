@@ -14,25 +14,78 @@ messages to the master and answers with its replies:
     Ask for work; *batch* is the master-selected coalescing width.
 ``query(task) -> Sequence``
     The task's query; called once per execution, as it starts.
-``progress(task, cells, interval)``, ``complete(task, hits, elapsed)``,
-``cancelled(task)``
-    The notifications of Fig. 4.
+``progress(task, cells, interval)``
+    A progress notification of Fig. 4.
+``complete(task, hits, elapsed) -> deliver``, ``cancelled(task) -> deliver``
+    The task-end notifications.  Each does the task's once-only
+    bookkeeping and returns ``deliver()``, which carries one copy of the
+    prepared message to the master.
+``poison()`` (optional)
+    Links with a byte stream: corrupt it, so the next message goes out
+    over a fresh connection.
 
-The loop owns everything the environments share: crash checks, stale
-cancel flags, batching, straggle dilation and the per-task fan-out of a
-multi-query sweep.
+``request``, ``progress`` and every ``deliver`` reach the master only
+through :func:`message_gate`, which under a fault plan sends each
+message 0, 1 or 2 times.  The loop owns everything the environments
+share: that gate, crash checks, stale cancel flags, batching, straggle
+dilation and the per-task fan-out of a multi-query sweep.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..faults import FaultInjector, InjectedCrash
+from ..faults import MESSAGE_RULES, FaultInjector, InjectedCrash
 from ..sequences.database import SequenceDatabase
 from .engines import ChunkProgress, Engine
+from .master import Assignment
 from .task import Task, group_into_batches
 
-__all__ = ["serve"]
+__all__ = ["message_gate", "serve"]
+
+#: Pause before a dropped must-deliver message is retransmitted.
+_RETRANSMIT_SECONDS = 0.005
+
+
+def message_gate(link, injector: FaultInjector | None, clock):
+    """The fault gate every message from *link* to the master crosses.
+
+    Returns ``send(kind, deliver)``, which decides the message's fate
+    from :data:`~repro.faults.MESSAGE_RULES` and calls ``deliver()`` 0,
+    1 or 2 times; it returns the last reply, or ``None`` when the
+    message was lost.  Without an *injector* it delivers once.
+    """
+    if injector is None:
+        return lambda kind, deliver: deliver()
+    pe_id = link.pe_id
+    poison = getattr(link, "poison", None)
+
+    def send(kind: str, deliver):
+        rule = MESSAGE_RULES[kind]
+        while (wait := injector.partition_remaining(pe_id, clock())) > 0:
+            if not rule.hold:
+                return None  # lost in the partition
+            time.sleep(wait)
+        action = injector.message_action(
+            pe_id, kind, clock(), allow=rule.allow
+        )
+        if action == "corrupt":
+            if poison is None:
+                action = "drop"
+            else:
+                poison()
+        if action == "drop":
+            if not rule.retransmit:
+                return None
+            time.sleep(_RETRANSMIT_SECONDS)
+        elif action == "delay":
+            time.sleep(injector.delay_seconds)
+        reply = deliver()
+        if action == "duplicate":
+            reply = deliver()  # the same message again; the master dedupes
+        return reply
+
+    return send
 
 
 def serve(
@@ -47,12 +100,14 @@ def serve(
 
     *chunks* are the database chunks tasks index by ``chunk_index``;
     *clock* times progress intervals and elapsed times; *injector*
-    applies the fault plan's crashes and stragglers to this slave.
+    applies the fault plan to this slave: its crashes, stragglers and,
+    through :func:`message_gate`, message faults and partitions.
     Returns the number of tasks completed.  A planned crash raises
     :class:`~repro.faults.InjectedCrash` — the slave dies silently.
     """
     pe_id = link.pe_id
     completed = 0
+    send = message_gate(link, injector, clock)
 
     def check_crash() -> None:
         if injector is not None and injector.crash_due(
@@ -85,7 +140,11 @@ def serve(
                     time.sleep(pause)
                     now = clock()
             task = tasks[position]
-            link.progress(task, chunk.cells, max(now - last, 1e-9))
+            interval = max(now - last, 1e-9)
+            send(
+                "progress",
+                lambda: link.progress(task, chunk.cells, interval),
+            )
             last = now
             return task.task_id not in link.cancels
 
@@ -108,17 +167,23 @@ def serve(
         done = 0
         for task, hits in zip(tasks, hit_lists):
             if hits is None:  # aborted by cancellation
-                link.cancelled(task)
+                send("cancelled", link.cancelled(task))
                 link.cancels.discard(task.task_id)
                 continue
             share = task.cells / total_cells if total_cells else 1.0
-            link.complete(task, hits, max(elapsed * share, 1e-9))
+            send(
+                "complete",
+                link.complete(task, hits, max(elapsed * share, 1e-9)),
+            )
             done += 1
         return done
 
     while True:
         check_crash()
-        assignment, batch = link.request()
+        # A lost request is an empty grant: the slave asks again.
+        assignment, batch = send("request", link.request) or (
+            Assignment(), 1
+        )
         if assignment.done:
             return completed
         if assignment.empty:

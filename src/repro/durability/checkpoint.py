@@ -736,8 +736,6 @@ def open_master(
     tasks: list[Task],
     checkpoint: "str | Path | CheckpointStore | None" = None,
     *,
-    sync_every: int = 1,
-    compact_every: int = 0,
     now: float = 0.0,
     **master_kwargs,
 ):
@@ -757,9 +755,7 @@ def open_master(
         store = (
             checkpoint
             if isinstance(checkpoint, CheckpointStore)
-            else CheckpointStore(
-                checkpoint, sync_every=sync_every, compact_every=compact_every
-            )
+            else CheckpointStore(checkpoint)
         )
         recovered = store.open(workload_fingerprint(list(tasks)))
     master = Master(list(tasks), journal=store, **master_kwargs)

@@ -5,15 +5,18 @@ faults, partitions) as immutable JSON-serialisable data;
 ``FaultInjector`` turns a plan into seed-deterministic runtime
 decisions and records every fired fault into the run's ``EventLog``.
 The DES simulator schedules plan faults as events, the threaded runtime
-and TCP cluster apply them at the transport boundary.  See
+and TCP cluster apply them in the slave loop; all three read what a
+message fault means from the one :data:`MESSAGE_RULES` table.  See
 ``docs/robustness.md`` for the failure model and recovery guarantees.
 """
 
 from .injector import (
     MESSAGE_ACTIONS,
+    MESSAGE_RULES,
     FaultInjector,
     InjectedCrash,
     MasterCrashed,
+    MessageRule,
 )
 from .plan import (
     FAULT_PLAN_SCHEMA,
@@ -29,6 +32,7 @@ from .plan import (
 __all__ = [
     "FAULT_PLAN_SCHEMA",
     "MESSAGE_ACTIONS",
+    "MESSAGE_RULES",
     "CrashFault",
     "FaultInjector",
     "FaultPlan",
@@ -37,6 +41,7 @@ __all__ = [
     "MasterCrashed",
     "MasterCrashFault",
     "MessageFaults",
+    "MessageRule",
     "PartitionFault",
     "StragglerFault",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import threading
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..observability import EventLog
@@ -24,10 +25,43 @@ __all__ = [
     "InjectedCrash",
     "MasterCrashed",
     "MESSAGE_ACTIONS",
+    "MESSAGE_RULES",
+    "MessageRule",
 ]
 
 #: Cumulative-threshold order for message fault decisions.
 MESSAGE_ACTIONS = ("drop", "duplicate", "delay", "corrupt")
+
+
+@dataclass(frozen=True)
+class MessageRule:
+    """What the message faults mean for one slave->master message kind.
+
+    A drawn action outside ``allow`` delivers normally.  ``hold``: a
+    partition holds the message until the window heals (otherwise the
+    message is lost in it).  ``retransmit``: a dropped message is sent
+    again after a short pause (otherwise it is lost; a lost ``request``
+    is an empty grant).  ``duplicate`` sends the same message twice and
+    ``delay`` holds it for ``MessageFaults.delay_seconds``.  ``corrupt``
+    poisons a link that has a byte stream, so the message goes out over
+    a fresh connection; on any other link it acts as a drop.
+    """
+
+    allow: tuple[str, ...]
+    hold: bool
+    retransmit: bool
+
+
+#: The one rule table every environment's transport gate reads: the
+#: DES's virtual-time gates and the slave loop's wall-clock gate.
+MESSAGE_RULES = {
+    "request": MessageRule(
+        ("drop", "delay", "corrupt"), hold=True, retransmit=False
+    ),
+    "progress": MessageRule(MESSAGE_ACTIONS, hold=False, retransmit=False),
+    "complete": MessageRule(MESSAGE_ACTIONS, hold=True, retransmit=True),
+    "cancelled": MessageRule(MESSAGE_ACTIONS, hold=True, retransmit=True),
+}
 
 
 class InjectedCrash(RuntimeError):

@@ -134,10 +134,11 @@ class MessageFaults:
     Each message draws one uniform variate; the cumulative thresholds
     ``drop → duplicate → delay → corrupt`` decide its fate, so the
     rates must sum to at most 1.  ``delay_seconds`` is how long a
-    delayed message is held.  Environments only apply the subset of
-    actions that makes sense for a message type (e.g. only idempotent
-    messages are ever duplicated); inapplicable draws deliver normally,
-    keeping the decision stream aligned across environments.
+    delayed message is held.  What each action means for each message
+    kind, and which kinds it applies to at all (a ``request`` is never
+    duplicated), is :data:`repro.faults.MESSAGE_RULES`, the same in
+    every environment; an inapplicable draw delivers normally, keeping
+    the decision stream aligned across environments.
     """
 
     drop_rate: float = 0.0

@@ -25,7 +25,7 @@ from ..core.engines import Engine
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
 from ..core.runtime import WorkerThread, start_workers
 from ..core.shared import SharedMaster
-from ..durability import open_master
+from ..durability import CheckpointStore, open_master
 from ..sequences.database import SequenceDatabase
 from ..sequences.records import Sequence
 from .core import ServiceConfig, ServiceRequest, SubmitOutcome
@@ -54,9 +54,7 @@ class ThreadedSearchService:
         omega: int = 8,
         config: ServiceConfig | None = None,
         top: int = 10,
-        checkpoint_dir: str | None = None,
-        checkpoint_sync_every: int = 1,
-        checkpoint_compact_every: int = 0,
+        checkpoint_dir: "str | CheckpointStore | None" = None,
     ):
         if not engines:
             raise ValueError("at least one engine is required")
@@ -66,8 +64,6 @@ class ThreadedSearchService:
         self.master, self._store, recovered = open_master(
             [],
             checkpoint_dir,
-            sync_every=checkpoint_sync_every,
-            compact_every=checkpoint_compact_every,
             policy=policy or PackageWeightedSelfScheduling(),
             adjustment=adjustment,
             omega=omega,

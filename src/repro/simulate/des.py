@@ -35,7 +35,7 @@ from ..core.master import Master, TraceEvent
 from ..core.policies import AllocationPolicy, PackageWeightedSelfScheduling
 from ..core.task import Task, TaskResult
 from ..durability import CheckpointStore, open_master
-from ..faults import FaultInjector, FaultPlan
+from ..faults import MESSAGE_RULES, FaultInjector, FaultPlan
 from ..observability import (
     EventLog,
     MetricsRegistry,
@@ -235,8 +235,6 @@ class HybridSimulator:
         faults: FaultPlan | None = None,
         heartbeat_timeout: float | None = None,
         checkpoint_dir: str | None = None,
-        checkpoint_sync_every: int = 1,
-        checkpoint_compact_every: int = 0,
         batch: int = 1,
         telemetry_path: str | None = None,
         telemetry_interval: float = 1.0,
@@ -284,8 +282,6 @@ class HybridSimulator:
         #: journal too: the records are what makes the ``master_crash``
         #: fault recoverable, and an aborted run's directory resumes).
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_sync_every = checkpoint_sync_every
-        self.checkpoint_compact_every = checkpoint_compact_every
         #: Minimum tasks per non-empty grant (see ``Master(batch=...)``).
         #: A simulated slave still executes its batch sequentially, so
         #: batching here models the amortized request round-trips, not a
@@ -487,8 +483,6 @@ class _RunState:
         self.master, self.store, recovered = open_master(
             self.tasks,
             config.checkpoint_dir,
-            sync_every=config.checkpoint_sync_every,
-            compact_every=config.checkpoint_compact_every,
             now=now,
             policy=config.policy,
             adjustment=config.adjustment,
@@ -637,7 +631,7 @@ class _RunState:
                 return
             action = self.injector.message_action(
                 pe.pe_id, "request", now,
-                allow=("drop", "delay", "corrupt"),
+                allow=MESSAGE_RULES["request"].allow,
             )
             if action in ("drop", "corrupt"):
                 self.queue.schedule(
@@ -768,7 +762,7 @@ class _RunState:
                 return
             action = self.injector.message_action(
                 pe.pe_id, "complete", now,
-                allow=("drop", "duplicate", "delay", "corrupt"),
+                allow=MESSAGE_RULES["complete"].allow,
             )
             if action in ("drop", "corrupt"):
                 self.queue.schedule(
@@ -874,7 +868,7 @@ class _RunState:
             else:
                 action = self.injector.message_action(
                     pe.pe_id, "progress", now,
-                    allow=("drop", "duplicate", "delay", "corrupt"),
+                    allow=MESSAGE_RULES["progress"].allow,
                 )
                 if action in ("drop", "corrupt"):
                     deliver = False

@@ -462,3 +462,149 @@ class TestClusterChaos:
         assert hit_projection(faulted.results) == hit_projection(
             baseline.results
         )
+
+
+def _small_workload(seed):
+    import numpy as np
+
+    from repro.sequences import query_set, random_database
+
+    rng = np.random.default_rng(seed)
+    queries = query_set(4, rng, min_length=20, max_length=40)
+    database = random_database(16, 50.0, rng, name="gatedb")
+    return queries, database
+
+
+class TestMessageGate:
+    """The slave loop's one fault gate, over a counting stub master."""
+
+    class CountingMaster:
+        """Stands in for ``SharedMaster``: one task per grant, and a
+        record of every message that reaches it."""
+
+        def __init__(self, tasks):
+            self.pending = list(tasks)
+            self.received = []
+
+        def clock(self):
+            return 0.0
+
+        def request(self, pe_id, now):
+            from repro.core.master import Assignment
+
+            self.received.append(("request", None))
+            if self.pending:
+                return Assignment(tasks=(self.pending.pop(0),)), [], {}
+            return Assignment(done=True), [], {}
+
+        def progress(self, pe_id, now, cells, interval):
+            self.received.append(("progress", cells))
+            return []
+
+        def complete(self, pe_id, result, now):
+            self.received.append(("complete", result))
+            return []
+
+        def cancelled(self, pe_id, task_id, now):
+            self.received.append(("cancelled", task_id))
+            return []
+
+    def test_duplicates_complete_but_never_request(self):
+        from repro.align import BLOSUM62, DEFAULT_GAPS
+        from repro.core import ScanEngine
+        from repro.core.runtime import LocalLink, build_tasks
+        from repro.core.slave import serve
+
+        queries, database = _small_workload(3)
+        tasks = build_tasks(queries, database)
+        master = self.CountingMaster(tasks)
+        link = LocalLink("pe0", master, queries, [0], batch=1)
+        injector = FaultInjector(
+            FaultPlan(seed=0, messages=MessageFaults(duplicate_rate=1.0))
+        )
+        completed = serve(
+            link,
+            ScanEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=8),
+            [database],
+            clock=master.clock,
+            injector=injector,
+        )
+        assert completed == link.tasks_done == len(tasks)
+        kinds = [kind for kind, _ in master.received]
+        # One request per poll: a grant per task, then "done".
+        assert kinds.count("request") == len(tasks) + 1
+        assert kinds.count("progress") % 2 == 0
+        completes = [body for kind, body in master.received
+                     if kind == "complete"]
+        assert len(completes) == 2 * len(tasks)
+        assert completes[0::2] == completes[1::2]
+        assert [r.task_id for r in completes[0::2]] == [
+            t.task_id for t in tasks
+        ]
+
+    def test_lossy_kinds_are_lost_and_required_kinds_retransmitted(self):
+        from repro.core.slave import message_gate
+
+        class Link:
+            pe_id = "pe0"
+
+        injector = FaultInjector(
+            FaultPlan(seed=0, messages=MessageFaults(drop_rate=1.0))
+        )
+        send = message_gate(Link(), injector, lambda: 0.0)
+        calls = []
+        for kind in ("request", "progress", "complete", "cancelled"):
+            send(kind, lambda kind=kind: calls.append(kind) or kind)
+        assert calls == ["complete", "cancelled"]
+        # A link without a byte stream takes ``corrupt`` as a drop.
+        injector = FaultInjector(
+            FaultPlan(seed=0, messages=MessageFaults(corrupt_rate=1.0))
+        )
+        send = message_gate(Link(), injector, lambda: 0.0)
+        assert send("request", lambda: "granted") is None
+        assert send("complete", lambda: "acked") == "acked"
+
+
+#: Every message fault at once, and nothing else.
+MESSAGES_ONLY = FaultPlan(
+    seed=4,
+    messages=MessageFaults(
+        drop_rate=0.15, duplicate_rate=0.15, delay_rate=0.1,
+        delay_seconds=0.005, corrupt_rate=0.05,
+    ),
+)
+
+
+@pytest.mark.parametrize("adjustment", [True, False])
+@pytest.mark.parametrize("environment", ["threaded", "cluster"])
+def test_messages_only_plan_matches_fault_free(environment, adjustment):
+    """The one rule table holds in both wall-clock environments."""
+    from repro.align import BLOSUM62, DEFAULT_GAPS
+    from repro.cluster import run_cluster
+    from repro.core import HybridRuntime, ScanEngine
+
+    queries, database = _small_workload(41)
+    pes = ("w0", "w1")
+
+    def run(faults):
+        if environment == "threaded":
+            engines = {
+                pe: ScanEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=8)
+                for pe in pes
+            }
+            return HybridRuntime(
+                engines, adjustment=adjustment, faults=faults
+            ).run(queries, database)
+        return run_cluster(
+            queries, database, {pe: "scan" for pe in pes},
+            use_processes=False, adjustment=adjustment, timeout=60,
+            faults=faults,
+        )
+
+    baseline = run(None)
+    faulted = run(MESSAGES_ONLY)
+    assert hit_projection(faulted.results) == hit_projection(
+        baseline.results
+    )
+    kinds = {e["kind"] for e in faulted.events}
+    assert {"fault_drop", "fault_duplicate"} <= kinds

@@ -228,3 +228,55 @@ class TestEmptyQueryStoreRegression:
         cold = hits()
         assert "# query empty (0 residues)" in cold
         assert hits("--store", str(store)) == cold
+
+
+class TestDuplicatedRequestRegression:
+    """A duplicated TCP ``request`` made two round trips.
+
+    The worker kept only the second grant, so the master held the
+    first grant's tasks as assigned to a live PE that never ran them.
+    Without replicas to mask the loss, ``run_cluster`` raised
+    ``TimeoutError`` with tasks still outstanding.  Requests are never
+    duplicated now, in any environment.
+    """
+
+    def test_duplicate_every_message_finishes_with_fault_free_hits(self):
+        from collections import Counter
+
+        import numpy as np
+
+        from repro.cluster import run_cluster
+        from repro.faults import FaultPlan, MessageFaults
+        from repro.sequences import query_set, random_database
+
+        rng = np.random.default_rng(5)
+        queries = query_set(6, rng, min_length=20, max_length=40)
+        database = random_database(40, 50.0, rng, name="dupdb")
+
+        def run(faults):
+            return run_cluster(
+                queries, database, {"gpu0": "gpu", "gpu1": "gpu"},
+                use_processes=False, adjustment=False, faults=faults,
+                timeout=20,
+            )
+
+        def hits(report):
+            return {
+                query_id: [(h.subject_index, h.score) for h in ranked]
+                for query_id, ranked in report.results.items()
+            }
+
+        faulted = run(
+            FaultPlan(seed=0, messages=MessageFaults(duplicate_rate=1.0))
+        )
+        assert hits(faulted) == hits(run(None))
+        duplicated = {
+            e["message"] for e in faulted.events.filter("fault_duplicate")
+        }
+        assert "complete" in duplicated and "request" not in duplicated
+        # A duplicated complete still ends its task once on the worker.
+        ends = Counter(
+            e["task"] for e in faulted.events.filter("worker_task_end")
+        )
+        assert sorted(ends) == list(range(len(queries)))
+        assert set(ends.values()) == {1}

@@ -364,6 +364,34 @@ class TestChaos:
         finally:
             server.stop()
 
+    def test_refused_configurations_leak_no_socket(self, workload, tmp_path):
+        """Every refused argument set fails before the port is bound."""
+        import gc
+        import warnings
+
+        server = start_server(workload)
+        try:
+            refused = [
+                dict(master=server.master, checkpoint=str(tmp_path)),
+                dict(
+                    service=server.service,
+                    database_residues=server.database_residues,
+                ),
+                dict(service=True),
+            ]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for kwargs in refused:
+                    with pytest.raises(ValueError):
+                        MasterServer([], **kwargs)
+                gc.collect()
+        finally:
+            server.stop()
+        leaks = [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+        assert not leaks, [str(w.message) for w in leaks]
+
 
 class TestServeProcess:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
