@@ -9,8 +9,8 @@
   the tail of the coarse decomposition is order-sensitive.
 * **8-bit first pass** — fraction of real protein comparisons that
   overflow the 255 cap and pay the 16-bit re-run (Section IV-C).
-* **Lane packing** — padding waste of the CUDASW++-style conversion
-  with and without length sorting.
+* **Lane packing** — padding waste of the streamed-lane conversion
+  versus packing in submission order.
 """
 
 import numpy as np
@@ -161,7 +161,7 @@ def test_ablation_8bit_overflow_fraction(benchmark):
 
 
 def test_ablation_lane_packing_waste(benchmark):
-    """Padding waste with vs without CUDASW++'s length sorting."""
+    """Padding waste of streamed lanes vs submission-order packing."""
     rng = np.random.default_rng(7)
     database = random_database(256, 150.0, rng, name="pack")
 
@@ -187,7 +187,7 @@ def test_ablation_lane_packing_waste(benchmark):
         format_grid(
             ["Packing", "Padded cells", "Waste vs useful"],
             [
-                ("length-sorted", sorted_cells,
+                ("streamed lanes", sorted_cells,
                  f"{sorted_cells / useful - 1:+.1%}"),
                 ("submission order", unsorted_cells,
                  f"{unsorted_cells / useful - 1:+.1%}"),
@@ -195,7 +195,8 @@ def test_ablation_lane_packing_waste(benchmark):
         ),
     )
     assert sorted_cells < unsorted_cells
-    # Gamma-distributed lengths: sorting keeps padding ~25%, versus
+    # Gamma-distributed lengths: streaming longest first keeps padding
+    # ~5% (one subject per length-sorted lane kept it ~25%), versus
     # ~75%+ for submission-order packing.
     assert sorted_cells / useful < 1.35
     assert unsorted_cells / useful > sorted_cells / useful + 0.2

@@ -5,28 +5,36 @@ GPUs) gets its throughput from *inter-task* parallelism: each CUDA
 thread aligns the query against a different database sequence, with the
 database pre-sorted by length so the threads of a warp finish together.
 This module reproduces that execution model with numpy lanes in place of
-CUDA threads:
+CUDA threads, and streams subjects through the lanes as SWIPE does:
 
-* the database is **converted** once — sorted by ascending length and
-  packed into lane batches (:class:`LanePack`), padding with a sentinel
-  residue whose profile row is strongly negative;
-* one DP sweep advances **all lanes of a batch simultaneously**: the
-  outer loop runs over subject positions, and each column update is a
-  vectorized step over query-major ``(lanes, Q, m)`` state, with the
-  vertical ``F`` dependency solved by the same max-plus prefix scan as
+* the database is **converted** once into lane packs
+  (:class:`LanePack`): subjects are taken longest first, each pack is
+  as tall as its longest subject, and each following subject goes to
+  the least-loaded lane, right after that lane's previous subject, if
+  it still fits (otherwise a later pack takes it).  A lane thus holds
+  several subjects back to back, and only the rows no subject fills
+  hold the pad residue, whose profile row is strongly negative;
+* one DP sweep advances **all lanes of a pack simultaneously**: the
+  outer loop runs over pack rows, and each row update is a vectorized
+  step over query-major ``(lanes, Q, m)`` state, with the vertical
+  ``F`` dependency solved by the same max-plus prefix scan as
   :mod:`repro.align.columnwise` (``np.maximum.accumulate`` along the
-  query axis for every lane at once).
+  query axis for every lane at once).  After a row on which subjects
+  end, their lanes' best scores are read out and those lanes' state is
+  reset, so the next subject in a lane starts from a fresh DP.
 
 That sweep is the one kernel of the package.  It is parameterised by
 query count ``Q`` (stacked queries, :mod:`repro.align.multiquery`);
-:func:`sw_score_batch` is its single-query form.  Profiles are stored
-as int64; the sweep's state runs in the narrowest of int16/int32/int64
+:func:`sw_score_batch` is its single-query form.  Both return scores
+aligned with ``pack.order``, one per subject.  Profiles are stored as
+int64; the sweep's state runs in the narrowest of int16/int32/int64
 that a static bound proves exact — the paper's 16-bit SIMD path.
 Scores are bit-exact with the reference kernel.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -51,21 +59,37 @@ DEFAULT_LANES = 32
 
 @dataclass(frozen=True)
 class LanePack:
-    """A batch of subject sequences packed residue-major for lane access.
+    """A batch of subject sequences streamed residue-major through lanes.
 
-    ``residues[j, l]`` is the ``j``-th residue code of lane ``l``'s
-    subject, or the pad code once that subject is exhausted.  ``order``
-    maps lanes back to the original database indices.
+    Subject ``k`` of the pack — database index ``order[k]``,
+    ``lengths[k]`` residues — fills rows ``start[k]`` up to
+    ``start[k] + lengths[k]`` of lane ``lane[k]``: ``residues[j, l]``
+    is that subject's residue code on those rows, and the pad code on
+    every row no subject fills.  The subjects of one lane occupy
+    disjoint row ranges; an empty subject occupies none.  Without
+    *lane* and *start* the pack holds one subject per lane, subject
+    ``k`` in lane ``k`` from row 0 (the layout of pack stores written
+    before lanes were streamed).
     """
 
-    residues: np.ndarray  # (max_len, lanes) int16
-    lengths: np.ndarray  # (lanes,) int64
-    order: np.ndarray  # (lanes,) int64 original indices
+    residues: np.ndarray  # (rows, lanes) int16
+    lengths: np.ndarray  # (subjects,) int64
+    order: np.ndarray  # (subjects,) int64 original indices
     pad_code: int
+    lane: np.ndarray | None = None  # (subjects,) int64
+    start: np.ndarray | None = None  # (subjects,) int64
+
+    def __post_init__(self) -> None:
+        if self.lane is None:
+            lane = np.arange(len(self.order), dtype=np.int64)
+            object.__setattr__(self, "lane", lane)
+        if self.start is None:
+            start = np.zeros(len(self.order), dtype=np.int64)
+            object.__setattr__(self, "start", start)
 
     @property
     def lanes(self) -> int:
-        """Number of subject lanes in this pack."""
+        """Number of lanes in this pack."""
         return self.residues.shape[1]
 
     @property
@@ -74,39 +98,84 @@ class LanePack:
         return int(self.lengths.sum())
 
 
+def _fill(lengths: np.ndarray, lanes: int):
+    """Stream one pack out of *lengths*, sorted longest first.
+
+    The pack is ``lengths[0]`` rows tall.  Each subject in turn goes to
+    the least-loaded lane (lowest index on a tie), after the subjects
+    already there, when it fits within the pack's rows; otherwise it is
+    left for a later pack.  Returns the positions placed, in placement
+    order, with each one's lane and start row.
+    """
+    rows = int(lengths[0])
+    ascending = -lengths  # for searchsorted
+    # (load, lane), least load first; a lane past the subject count
+    # could never be used.
+    heap = [(0, lane) for lane in range(min(lanes, len(lengths)))]
+    placed, lane_of, start_of = [], [], []
+    k = 0
+    while k < len(lengths):
+        load, lane = heap[0]
+        room = rows - load
+        if lengths[k] > room:
+            # The least load only grows, so every subject longer than
+            # the room now waits for a later pack: skip them all.
+            k = int(np.searchsorted(ascending, -room))
+            if k == len(lengths):
+                break
+        placed.append(k)
+        lane_of.append(lane)
+        start_of.append(load)
+        heapq.heapreplace(heap, (load + int(lengths[k]), lane))
+        k += 1
+    return tuple(
+        np.array(values, dtype=np.int64)
+        for values in (placed, lane_of, start_of)
+    )
+
+
 def pack_database(
     database: SequenceDatabase | Iterable[Sequence],
     matrix: SubstitutionMatrix,
     lanes: int = DEFAULT_LANES,
 ) -> Iterator[LanePack]:
-    """Convert a database into length-sorted lane batches.
+    """Convert a database into streamed lane packs.
 
-    This is CUDASW++'s database-conversion step: sorting by length keeps
-    the lanes of one batch balanced, so the padded DP sweep wastes few
-    cells (the ablation benchmark quantifies exactly how few).
+    This is CUDASW++'s database-conversion step with SWIPE's lane
+    streaming: taking subjects longest first and stacking shorter ones
+    back to back in the least-loaded lanes keeps every lane of a pack
+    busy to its last row, so the sweep computes few pad cells (the
+    ablation benchmark quantifies exactly how few).  An empty subject
+    takes no rows.
     """
     if lanes <= 0:
         raise ValueError("lanes must be positive")
-    if isinstance(database, SequenceDatabase):
-        records = list(database)
-    else:
-        records = list(database)
-    order = np.argsort([len(r) for r in records], kind="stable")
+    records = list(database)
+    lengths = np.array([len(r) for r in records], dtype=np.int64)
     pad_code = matrix.alphabet.size  # one past the last real residue
-    for start in range(0, len(records), lanes):
-        chunk = order[start : start + lanes]
-        batch = [records[i] for i in chunk]
-        lengths = np.array([len(r) for r in batch], dtype=np.int64)
-        max_len = int(lengths.max()) if len(batch) else 0
-        residues = np.full((max_len, len(batch)), pad_code, dtype=np.int16)
-        for lane, record in enumerate(batch):
-            residues[: len(record), lane] = _codes(record, matrix)
+    # Longest first; equal lengths keep database order.
+    waiting = np.argsort(-lengths, kind="stable")
+    while waiting.size:
+        placed, lane, start = _fill(lengths[waiting], lanes)
+        chosen = waiting[placed]
+        residues = np.full(
+            (int(lengths[chosen[0]]), int(lane.max()) + 1),
+            pad_code,
+            dtype=np.int16,
+        )
+        for index, column, row in zip(chosen, lane, start):
+            residues[row : row + lengths[index], column] = _codes(
+                records[index], matrix
+            )
         yield LanePack(
             residues=residues,
-            lengths=lengths,
-            order=np.asarray(chunk, dtype=np.int64),
+            lengths=lengths[chosen],
+            order=chosen,
             pad_code=pad_code,
+            lane=lane,
+            start=start,
         )
+        waiting = np.delete(waiting, placed)
 
 
 #: Pad score of the int64 profiles: far below any real substitution
@@ -167,14 +236,26 @@ def _state(profile: np.ndarray, gaps: GapModel):
     raise OverflowError(f"scores up to {reach} exceed the int64 sweep state")
 
 
-def _sweep(
-    profile: np.ndarray, residues: np.ndarray, gaps: GapModel
-) -> np.ndarray:
-    """The lane sweep: best local score of every (lane, query) pair.
+def _ends(pack: LanePack) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``{row: (lanes, subjects)}``: the subjects whose last residue is on
+    each row, with their lanes.  Empty subjects end on no row."""
+    live = np.flatnonzero(pack.lengths)
+    last = pack.start[live] + pack.lengths[live] - 1
+    by_row = np.argsort(last, kind="stable")
+    live, last = live[by_row], last[by_row]
+    rows, first = np.unique(last, return_index=True)
+    return {
+        int(row): (pack.lane[subjects], subjects)
+        for row, subjects in zip(rows, np.split(live, first[1:]))
+    }
 
-    *profile* is an ``(A+1, m, Q)`` stacked int64 profile; *residues* is
-    a pack's ``(rows, lanes)`` code matrix.  Returns ``(lanes, Q)``
-    int64 best scores.
+
+def _sweep(profile: np.ndarray, pack: LanePack, gaps: GapModel) -> np.ndarray:
+    """The lane sweep: best local score of every (subject, query) pair.
+
+    *profile* is an ``(A+1, m, Q)`` stacked int64 profile; *pack* is a
+    :class:`LanePack`.  Returns ``(subjects, Q)`` int64 best scores,
+    aligned with ``pack.order``; an empty subject scores 0.
 
     **Layout.**  The DP state is query-major: ``(lanes, Q, 1 + m)``,
     stored flat, query position innermost, with a boundary column 0
@@ -186,8 +267,14 @@ def _sweep(
     along the contiguous last axis.  The shift wraps each boundary cell
     onto the previous row's last cell; the boundary's pad profile score
     and its ``|pad|`` F ramp keep it at exactly 0, so no row needs a
-    fix-up.  The best score is an elementwise running max of H, reduced
-    once at the end.
+    fix-up.  The best score is an elementwise running max of H.
+
+    **Streaming.**  After each row on which subjects end, the sweep
+    reduces those lanes' running best into the subjects' scores and
+    puts the lanes' H, E and best back to their initial state (0, the
+    pad score, 0), so the next subject in the lane is scored by a fresh
+    DP: no diagonal, gap or best carries across the boundary.  F needs
+    no reset: it is rebuilt from H on every row.
 
     **State dtype.**  The state is the narrowest of int16/int32/int64
     that provably holds every intermediate, chosen per call from a
@@ -219,9 +306,10 @@ def _sweep(
     every score — equals the int64 recurrence's.
     """
     _, m, nq = profile.shape
-    lanes = residues.shape[1]
-    if m == 0 or lanes == 0:
-        return np.zeros((lanes, nq), dtype=np.int64)
+    rows, lanes = pack.residues.shape
+    scores = np.zeros((len(pack.order), nq), dtype=np.int64)
+    if m == 0 or rows == 0:
+        return scores
     dtype, pad = _state(profile, gaps)
     # (A+1, Q, 1 + m) in the state dtype, column 0 the boundary column.
     # Input pads and anything below the state pad become the state pad.
@@ -249,7 +337,15 @@ def _sweep(
     drop = np.concatenate((np.array([-pad], dtype=dtype), go + steps[:-1]))
     ramp_dn = np.tile(drop, lanes * nq)
 
-    for row in residues:
+    # (lanes, Q, 1 + m) views of the state, for the per-lane resets.
+    H_prev3, H_next3 = (
+        buffer[1:].reshape(lanes, nq, 1 + m) for buffer in (H_prev, H_next)
+    )
+    E3 = E.reshape(lanes, nq, 1 + m)
+    best3 = best.reshape(lanes, nq, 1 + m)
+    ends = _ends(pack)
+
+    for j, row in enumerate(pack.residues):
         H = H_next[1:]
         np.subtract(H_prev[1:], go, out=Ebuf)
         np.subtract(E, ge, out=E)
@@ -267,7 +363,14 @@ def _sweep(
         np.maximum(H, F, out=H)
         np.maximum(best, H, out=best)
         H_prev, H_next = H_next, H_prev
-    return best.reshape(lanes, nq, 1 + m).max(axis=2).astype(np.int64)
+        H_prev3, H_next3 = H_next3, H_prev3
+        if j in ends:
+            done, subjects = ends[j]
+            scores[subjects] = best3[done].max(axis=2)
+            best3[done] = 0
+            H_prev3[done] = 0
+            E3[done] = pad
+    return scores
 
 
 def sw_score_batch(
@@ -277,15 +380,15 @@ def sw_score_batch(
     gaps: GapModel,
     profile: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score the query against every lane of *pack* simultaneously.
+    """Score the query against every subject of *pack* simultaneously.
 
-    Returns the per-lane best scores in **lane order** (use
-    ``pack.order`` to scatter them back to database indices).  *profile*
-    may be passed in when the same query is scored against many packs.
+    Returns one best score per subject, aligned with ``pack.order``
+    (scatter through it for database indices).  *profile* may be passed
+    in when the same query is scored against many packs.
     """
     if profile is None:
         profile = _padded_profile(query_codes, matrix)
-    return _sweep(profile[:, :, None], pack.residues, gaps)[:, 0]
+    return _sweep(profile[:, :, None], pack, gaps)[:, 0]
 
 
 def sw_score_database(

@@ -101,12 +101,13 @@ def sw_score_batch_multi(
     pack: LanePack,
     gaps: GapModel,
 ) -> np.ndarray:
-    """Score every stacked query against every lane of *pack* at once.
+    """Score every stacked query against every subject of *pack* at once.
 
-    Returns a ``(Q, lanes)`` int64 array of best local-alignment scores
-    in lane order (scatter through ``pack.order`` for database order).
+    Returns a ``(Q, subjects)`` int64 array of best local-alignment
+    scores aligned with ``pack.order`` (scatter through it for database
+    order).
     """
-    return _sweep(mq.profile, pack.residues, gaps).T
+    return _sweep(mq.profile, pack, gaps).T
 
 
 def sw_score_database_multi(

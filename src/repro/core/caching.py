@@ -9,7 +9,7 @@ queries; this module gives the numpy engines the same lever:
   accounting, optionally bound to the run's
   :class:`~repro.observability.MetricsRegistry` (``cache_*`` families,
   labelled by cache name);
-* :class:`PackCache` — memoizes the length-sorted :class:`LanePack`
+* :class:`PackCache` — memoizes the streamed :class:`LanePack`
   batches of a database conversion, keyed by database identity and
   shape (see ``docs/robustness.md`` for the key-semantics discussion);
 * :class:`ProfileCache` — memoizes query profiles (striped or padded),
@@ -147,7 +147,9 @@ class KeyedLRU:
 
 def _freeze_pack(pack: LanePack) -> LanePack:
     """Make a pack's arrays read-only before sharing across searches."""
-    for array in (pack.residues, pack.lengths, pack.order):
+    for array in (
+        pack.residues, pack.lengths, pack.order, pack.lane, pack.start
+    ):
         array.setflags(write=False)
     return pack
 

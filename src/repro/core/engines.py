@@ -386,9 +386,9 @@ class InterSequenceEngine(Engine):
                 query_codes, pack, self.matrix, self.gaps, profile=profile
             )
             chunk_cells = len(query_codes) * pack.cells_per_query_residue
-            for lane, db_index in enumerate(pack.order):
-                is_last = lane + 1 == len(pack.order)
-                yield int(db_index), int(scores[lane]), (
+            for position, db_index in enumerate(pack.order):
+                is_last = position + 1 == len(pack.order)
+                yield int(db_index), int(scores[position]), (
                     chunk_cells if is_last else 0
                 )
 

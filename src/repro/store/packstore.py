@@ -14,9 +14,11 @@ Layout of a store directory::
       store.json                 # {"schema": "repro.packstore.v1", "crc"}
       objects/
         <key>.json               # per-entry manifest, embedded crc
-        <key>.residues.npy       # pack entries: three consolidated arrays
+        <key>.residues.npy       # pack entries: consolidated arrays
         <key>.lengths.npy
         <key>.order.npy
+        <key>.lane.npy           # per-subject lane and start row
+        <key>.start.npy          # (absent from older entries)
         <key>.array.npy          # profile entries: one array
 
 Entries are **content-addressed**: ``<key>`` is a SHA-256 over what
@@ -41,6 +43,12 @@ Memory-mapping: packs are stored as flat consolidated arrays and each
 slice, so ``load_packs(..., mmap=True)`` hands the engines read-only
 views straight over the page cache — byte-identical to freshly built
 packs, without materializing them.
+
+A pack entry's manifest lists each pack as ``[rows, lanes, subjects]``
+and its arrays include the per-subject ``lane`` and ``start`` of the
+streamed layout.  Entries written before lanes were streamed list
+``[rows, lanes]`` and carry neither array: they load as one subject
+per lane, which the sweep scores the same way.
 """
 
 from __future__ import annotations
@@ -76,6 +84,9 @@ PACKSTORE_SCHEMA = "repro.packstore.v1"
 STORABLE_PROFILE_KINDS = ("padded", "striped")
 
 _CRC_CHUNK = 1 << 20
+
+#: The :class:`LanePack` arrays a pack entry stores, one file each.
+_PACK_FIELDS = ("residues", "lengths", "order", "lane", "start")
 
 
 class StoreError(RuntimeError):
@@ -236,27 +247,15 @@ class PackStore:
         if self._manifest_path(key).exists():
             return key
         packs = tuple(pack_database(database, matrix, lanes=lanes))
-        residues = (
-            np.concatenate([p.residues.ravel() for p in packs])
-            if packs
-            else np.zeros(0, dtype=np.int16)
-        )
-        lengths = (
-            np.concatenate([p.lengths for p in packs])
-            if packs
-            else np.zeros(0, dtype=np.int64)
-        )
-        order = (
-            np.concatenate([p.order for p in packs])
-            if packs
-            else np.zeros(0, dtype=np.int64)
-        )
         arrays = {}
-        for field, array in (
-            ("residues", residues),
-            ("lengths", lengths),
-            ("order", order),
-        ):
+        for field in _PACK_FIELDS:
+            if packs:
+                array = np.concatenate(
+                    [getattr(p, field).ravel() for p in packs]
+                )
+            else:
+                dtype = np.int16 if field == "residues" else np.int64
+                array = np.zeros(0, dtype=dtype)
             filename = f"{key}.{field}.npy"
             blob, crc = _serialize_array(array)
             _atomic_write(self._objects / filename, blob)
@@ -282,7 +281,8 @@ class PackStore:
                 "name": database.name,
             },
             "packs": [
-                [int(p.residues.shape[0]), int(p.residues.shape[1])]
+                [int(p.residues.shape[0]), int(p.residues.shape[1]),
+                 len(p.order)]
                 for p in packs
             ],
             "arrays": arrays,
@@ -382,34 +382,40 @@ class PackStore:
         if manifest.get("kind") != "packs":
             raise StoreError(f"entry {key} is not a pack entry")
         use_mmap = self.mmap if mmap is None else bool(mmap)
+        # Entries written before lanes were streamed have no lane/start
+        # arrays and one subject per lane.
         arrays = {
             field: self._load_array(manifest["arrays"][field], use_mmap)
-            for field in ("residues", "lengths", "order")
+            for field in _PACK_FIELDS
+            if field in manifest["arrays"]
         }
         pad_code = int(manifest["pad_code"])
         packs = []
         flat_offset = 0
-        lane_offset = 0
-        for rows, lanes in manifest["packs"]:
+        subject_offset = 0
+        for rows, lanes, *count in manifest["packs"]:
+            subjects = count[0] if count else lanes
             span = rows * lanes
-            residues = arrays["residues"][
-                flat_offset : flat_offset + span
-            ].reshape(rows, lanes)
-            lengths = arrays["lengths"][lane_offset : lane_offset + lanes]
-            order = arrays["order"][lane_offset : lane_offset + lanes]
-            flat_offset += span
-            lane_offset += lanes
+            per_subject = {
+                field: array[subject_offset : subject_offset + subjects]
+                for field, array in arrays.items()
+                if field != "residues"
+            }
             packs.append(
                 LanePack(
-                    residues=residues,
-                    lengths=lengths,
-                    order=order,
+                    residues=arrays["residues"][
+                        flat_offset : flat_offset + span
+                    ].reshape(rows, lanes),
                     pad_code=pad_code,
+                    **per_subject,
                 )
             )
-        if flat_offset != arrays["residues"].size or (
-            lane_offset != arrays["lengths"].size
-            or lane_offset != arrays["order"].size
+            flat_offset += span
+            subject_offset += subjects
+        if flat_offset != arrays["residues"].size or any(
+            subject_offset != array.size
+            for field, array in arrays.items()
+            if field != "residues"
         ):
             raise StoreError(
                 f"entry {key}: pack shapes do not tile the stored arrays"

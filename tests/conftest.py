@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.align import BLOSUM62, DEFAULT_GAPS, linear_gap, match_mismatch
+from repro.align import (
+    BLOSUM62,
+    DEFAULT_GAPS,
+    LanePack,
+    linear_gap,
+    match_mismatch,
+)
+from repro.align.reference import _codes
 from repro.sequences import PROTEIN, Sequence, random_database, random_sequence
 
 
@@ -46,3 +53,20 @@ def mini_database(rng):
 
 def make_protein(residues: str, seq_id: str = "seq") -> Sequence:
     return Sequence(id=seq_id, residues=residues, alphabet=PROTEIN)
+
+
+def classic_packs(database, matrix, lanes):
+    """One subject per lane, length-sorted and padded: the layout of pack
+    stores written before lanes were streamed (no ``lane``/``start``)."""
+    records = list(database)
+    order = np.argsort([len(r) for r in records], kind="stable")
+    for first in range(0, len(records), lanes):
+        chunk = order[first : first + lanes].astype(np.int64)
+        lengths = np.array([len(records[i]) for i in chunk], dtype=np.int64)
+        residues = np.full(
+            (int(lengths.max()), len(chunk)), matrix.alphabet.size,
+            dtype=np.int16,
+        )
+        for lane, index in enumerate(chunk):
+            residues[: lengths[lane], lane] = _codes(records[index], matrix)
+        yield LanePack(residues, lengths, chunk, matrix.alphabet.size)

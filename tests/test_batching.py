@@ -7,6 +7,8 @@ unchanged replica semantics — in the threaded runtime, the DES, and the
 TCP cluster alike.
 """
 
+import threading
+
 import pytest
 
 from repro.align import BLOSUM62, DEFAULT_GAPS
@@ -218,8 +220,27 @@ class TestThreadedEquivalence:
         """A crippled worker's batched tasks are still rescued singly."""
         queries = query_set(4, rng, 20, 30)
         database = random_database(24, 40.0, rng, name="batch-rescue")
-        fast = InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=24)
-        slow = ThrottledEngine(
+        # The fast worker computes only once the slow one holds work;
+        # otherwise it can finish all four tasks before the slow thread's
+        # first request, leaving nothing to replicate.
+        slow_busy = threading.Event()
+
+        class FastAfterSlow(InterSequenceEngine):
+            def search(self, *args, **kwargs):
+                slow_busy.wait(timeout=10)
+                return super().search(*args, **kwargs)
+
+            def search_batch(self, *args, **kwargs):
+                slow_busy.wait(timeout=10)
+                return super().search_batch(*args, **kwargs)
+
+        class SignallingThrottle(ThrottledEngine):
+            def search(self, *args, **kwargs):
+                slow_busy.set()
+                return super().search(*args, **kwargs)
+
+        fast = FastAfterSlow(BLOSUM62, DEFAULT_GAPS, chunk_size=24)
+        slow = SignallingThrottle(
             InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=1),
             delay_per_chunk=0.05,
         )

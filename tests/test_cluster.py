@@ -46,8 +46,8 @@ class TestProtocol:
         a, b = socket.socketpair()
         try:
             send_message(a, {"type": "register", "pe_id": "x"})
-            reader = b.makefile("rb")
-            message = recv_message(reader)
+            with b.makefile("rb") as reader:
+                message = recv_message(reader)
             assert message == {"type": "register", "pe_id": "x"}
         finally:
             a.close()
@@ -139,8 +139,9 @@ class TestProtocolHandshake:
 class TestMasterServer:
     def _talk(self, server, messages):
         host, port = server.address
-        with socket.create_connection((host, port), timeout=10) as sock:
-            reader = sock.makefile("rb")
+        with socket.create_connection(
+            (host, port), timeout=10
+        ) as sock, sock.makefile("rb") as reader:
             replies = []
             for message in messages:
                 send_message(sock, message)
@@ -204,8 +205,9 @@ class TestMasterServer:
         refused at the handshake."""
         host, port = server.address
         for extra in ({}, {"protocol": PROTOCOL_VERSION - 1}):
-            with socket.create_connection((host, port), timeout=10) as sock:
-                reader = sock.makefile("rb")
+            with socket.create_connection(
+                (host, port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
                 send_message(
                     sock, {"type": "register", "pe_id": "old", **extra}
                 )
@@ -219,8 +221,9 @@ class TestMasterServer:
         from repro.cluster.protocol import PROTOCOL_VERSION
 
         host, port = server.address
-        with socket.create_connection((host, port), timeout=10) as sock:
-            reader = sock.makefile("rb")
+        with socket.create_connection(
+            (host, port), timeout=10
+        ) as sock, sock.makefile("rb") as reader:
             send_message(sock, {"type": "register", "pe_id": "fresh",
                                 "protocol": PROTOCOL_VERSION + 5})
             reply = recv_message(reader)
@@ -335,8 +338,9 @@ class TestResilience:
         server.start()
         try:
             host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                reader = sock.makefile("rb")
+            with socket.create_connection(
+                (host, port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
                 send_message(sock, {"type": "register", "pe_id": "w0",
                                     "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
@@ -358,15 +362,17 @@ class TestResilience:
         server.start()
         try:
             host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                reader = sock.makefile("rb")
+            with socket.create_connection(
+                (host, port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
                 send_message(sock, {"type": "register", "pe_id": "w0",
                                     "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
                 send_message(sock, {"type": "request", "pe_id": "w0"})
                 assert recv_message(reader)["tasks"]
-            with socket.create_connection((host, port), timeout=10) as sock:
-                reader = sock.makefile("rb")
+            with socket.create_connection(
+                (host, port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
                 send_message(
                     sock,
                     {"type": "register", "pe_id": "w0", "attempt": 1,
@@ -389,8 +395,9 @@ class TestResilience:
         server.start()
         try:
             host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                reader = sock.makefile("rb")
+            with socket.create_connection(
+                (host, port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
                 send_message(sock, {"type": "register", "pe_id": "w0",
                                     "protocol": PROTOCOL_VERSION})
                 recv_message(reader)
@@ -426,8 +433,9 @@ class TestResilience:
         server.start()
         try:
             host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                reader = sock.makefile("rb")
+            with socket.create_connection(
+                (host, port), timeout=10
+            ) as sock, sock.makefile("rb") as reader:
                 send_message(sock, {"type": "register", "pe_id": "w0",
                                     "protocol": PROTOCOL_VERSION})
                 recv_message(reader)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import classic_packs
+
 from repro.align import (
     BLOSUM62,
     affine_gap,
@@ -26,30 +28,87 @@ from repro.sequences import (
 )
 
 
+def _check_layout(pack, database):
+    """The streamed layout's invariants for one pack of *database*."""
+    rows, lanes = pack.residues.shape
+    n = len(pack.order)
+    assert pack.lengths.shape == pack.lane.shape == pack.start.shape == (n,)
+    # Every subject sits in a lane that exists, and the pack is as tall
+    # as its longest subject.
+    assert ((0 <= pack.lane) & (pack.lane < lanes)).all()
+    assert rows == (int(pack.lengths.max()) if n else 0)
+    used = np.zeros((rows, lanes), dtype=bool)
+    for k, index in enumerate(pack.order):
+        record = database[int(index)]
+        first, lane = int(pack.start[k]), int(pack.lane[k])
+        assert pack.lengths[k] == len(record)
+        # One contiguous run of rows in one lane, disjoint from the
+        # lane's other subjects, holding exactly the subject's codes.
+        span = slice(first, first + len(record))
+        assert first >= 0 and first + len(record) <= rows
+        assert not used[span, lane].any()
+        used[span, lane] = True
+        np.testing.assert_array_equal(
+            pack.residues[span, lane], _codes(record, BLOSUM62)
+        )
+    # Every row no subject uses holds the pad code, and only those do.
+    assert (pack.residues[~used] == pack.pad_code).all()
+    assert (pack.residues[used] != pack.pad_code).all()
+
+
 class TestPackDatabase:
-    def test_sorted_by_length(self, blosum62, mini_database):
-        packs = list(pack_database(mini_database, blosum62, lanes=8))
-        previous_max = 0
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 8, 32])
+    def test_rows_match_longest_subject(self, mini_database, lanes):
+        """Streamed layout: each pack as tall as its longest subject,
+        each subject in one contiguous run of one lane."""
+        packs = list(pack_database(mini_database, BLOSUM62, lanes=lanes))
         for pack in packs:
-            lengths = pack.lengths
-            assert lengths.tolist() == sorted(lengths.tolist())
-            assert lengths.min() >= previous_max or pack is packs[0]
-            previous_max = int(lengths.max())
+            assert pack.lanes <= lanes
+            _check_layout(pack, mini_database)
+        seen = np.concatenate([pack.order for pack in packs])
+        assert sorted(seen.tolist()) == list(range(len(mini_database)))
+
+    def test_pad_code_fills_unused_rows(self, blosum62):
+        db = SequenceDatabase(
+            [Sequence(id="a", residues="AC"),
+             Sequence(id="b", residues="ACDEF"),
+             Sequence(id="c", residues="")]
+        )
+        (pack,) = pack_database(db, blosum62, lanes=2)
+        assert pack.pad_code == blosum62.alphabet.size
+        # The longer record sets the pack's five rows in lane 0; the
+        # shorter one fills lane 1's first two rows, and the empty one
+        # takes no rows.
+        assert pack.order.tolist() == [1, 0, 2]
+        assert pack.lane.tolist()[:2] == [0, 1]
+        assert pack.residues.shape == (5, 2)
+        assert (pack.residues[2:, 1] == pack.pad_code).all()
+        _check_layout(pack, db)
+
+    def test_short_subjects_stack_in_the_least_loaded_lane(self, blosum62):
+        """Longest first: a subject too long for the least-loaded lane
+        waits for a later pack, and a shorter one behind it still goes
+        after that lane's subject."""
+        db = SequenceDatabase(
+            [Sequence(id=f"d{i}", residues="A" * n)
+             for i, n in enumerate([10, 6, 4, 3, 7])]
+        )
+        first, second = pack_database(db, blosum62, lanes=2)
+        # 10 -> lane 0 and 7 -> lane 1; 6 and 4 exceed lane 1's room of
+        # 3, so 3 goes after 7 and fills the lane.
+        assert first.order.tolist() == [0, 4, 3]
+        assert first.lane.tolist() == [0, 1, 1]
+        assert first.start.tolist() == [0, 0, 7]
+        assert second.order.tolist() == [1, 2]
+        assert second.residues.shape == (6, 2)
+        for pack in (first, second):
+            _check_layout(pack, db)
 
     def test_all_records_covered_once(self, blosum62, mini_database):
         seen = []
         for pack in pack_database(mini_database, blosum62, lanes=7):
             seen.extend(pack.order.tolist())
         assert sorted(seen) == list(range(len(mini_database)))
-
-    def test_padding_code(self, blosum62):
-        db = SequenceDatabase(
-            [Sequence(id="a", residues="AC"), Sequence(id="b", residues="ACDEF")]
-        )
-        pack = next(pack_database(db, blosum62, lanes=2))
-        assert pack.pad_code == blosum62.alphabet.size
-        # Lane 0 is the shorter record; its tail must be padding.
-        assert pack.residues[2, 0] == pack.pad_code
 
     def test_cells_per_query_residue(self, blosum62, mini_database):
         total = sum(
@@ -113,11 +172,14 @@ class TestAgreement:
         query = random_sequence(10, rng)
         assert sw_score_database(query, db, blosum62, default_gaps).size == 0
 
-    def test_batch_returns_lane_order(self, blosum62, default_gaps, rng):
+    def test_batch_returns_pack_order(self, blosum62, default_gaps, rng):
         db = SequenceDatabase(
             [random_sequence(n, rng, seq_id=f"d{n}") for n in (30, 10, 20)]
         )
-        pack = next(pack_database(db, blosum62, lanes=3))
+        # Two lanes: 30 fills lane 0, and 10 streams in after 20 in lane
+        # 1, so the three scores are not one per lane.
+        (pack,) = pack_database(db, blosum62, lanes=2)
+        assert pack.lanes == 2 and len(pack.order) == 3
         query = random_sequence(15, rng)
         batch = sw_score_batch(
             blosum62.alphabet.encode(query.residues), pack, blosum62,
@@ -136,24 +198,27 @@ def _reach(s_max, m, gaps):
 
 
 def _sweep_vs_reference(queries, subjects, matrix, gaps, lanes):
-    """Run ``_sweep`` over every pack; check it against the reference."""
+    """Run ``_sweep`` over every streamed pack, and over the classic
+    one-subject-per-lane packs; check both against the reference."""
     codes = [_codes(q, matrix) for q in queries]
     profile = _build_profile(codes, matrix)
     db = SequenceDatabase(
         [Sequence(id=f"d{i}", residues=s) for i, s in enumerate(subjects)]
     )
-    best = np.zeros((len(subjects), len(queries)), dtype=np.int64)
-    for pack in pack_database(db, matrix, lanes=lanes):
-        swept = _sweep(profile, pack.residues, gaps)
-        assert swept.dtype == np.int64
-        assert swept.shape == (pack.lanes, len(queries))
-        best[pack.order] = swept
     expected = np.array(
         [[sw_score_reference(q, s, matrix, gaps) for q in queries]
          for s in subjects],
         dtype=np.int64,
     )
-    assert best.tobytes() == expected.tobytes()
+    for packs in (pack_database(db, matrix, lanes=lanes),
+                  classic_packs(db, matrix, lanes)):
+        best = np.full((len(subjects), len(queries)), -1, dtype=np.int64)
+        for pack in packs:
+            swept = _sweep(profile, pack, gaps)
+            assert swept.dtype == np.int64
+            assert swept.shape == (len(pack.order), len(queries))
+            best[pack.order] = swept
+        assert best.tobytes() == expected.tobytes()
     return profile
 
 
@@ -293,6 +358,61 @@ class TestLaneSweepKernel:
     ):
         _sweep_vs_reference(queries[:nq], subjects,
                             KERNEL_MATRICES[matrix_name], gaps, lanes)
+
+
+#: Skewed subject lengths: mostly short, some long, empties in between.
+skewed_subjects = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text(alphabet="ARNDWYX", min_size=1, max_size=5),
+        st.text(alphabet="ARNDWYX", min_size=1, max_size=5),
+        st.text(alphabet="ARNDWYX", min_size=16, max_size=40),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestStreamedLanes:
+    """Subjects streamed back to back through lanes score as if alone."""
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("nq", [1, 3])
+    @given(
+        queries=st.lists(kernel_residues, min_size=3, max_size=3),
+        subjects=skewed_subjects,
+        gaps=gap_models,
+        matrix_name=st.sampled_from(sorted(KERNEL_MATRICES)),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_skewed_database_matches_reference(
+        self, nq, lanes, queries, subjects, gaps, matrix_name
+    ):
+        _sweep_vs_reference(queries[:nq], subjects,
+                            KERNEL_MATRICES[matrix_name], gaps, lanes)
+
+    def test_no_state_crosses_a_subject_boundary(self):
+        """A strong subject followed in its lane by a weak one.
+
+        At the boundary the lane's H holds the strong subject's 50, its
+        E a horizontal gap worth 47 and its best 50.  A diagonal, a gap
+        or a best carried into the weak subject would raise its score
+        of 5 to at least 41."""
+        matrix = match_mismatch(5, -4, alphabet=PROTEIN)
+        gaps = affine_gap(3, 1)
+        query = "W" * 10
+        subjects = ["A" * 20, query, "AW"]
+        db = protein_db(subjects)
+        (pack,) = pack_database(db, matrix, lanes=2)
+        by_index = {int(i): k for k, i in enumerate(pack.order)}
+        strong, weak = by_index[1], by_index[2]
+        assert pack.lane[strong] == pack.lane[weak]
+        assert pack.start[weak] == pack.start[strong] + len(query)
+        _sweep_vs_reference([query, query[:4], "AW"], subjects, matrix,
+                            gaps, lanes=2)
+        assert sw_score_database(
+            Sequence(id="q", residues=query), db, matrix, gaps, lanes=2
+        ).tolist() == [0, 50, 5]
 
 
 class TestKernelEdgeCases:

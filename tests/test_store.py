@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import classic_packs
 from repro.align import BLOSUM50, BLOSUM62, DEFAULT_GAPS
 from repro.align.intersequence import pack_database
 from repro.align.scoring import SubstitutionMatrix
@@ -112,6 +113,8 @@ class TestRoundTrip:
             assert back.residues.tobytes() == built.residues.tobytes()
             assert back.lengths.tobytes() == built.lengths.tobytes()
             assert back.order.tobytes() == built.order.tobytes()
+            assert back.lane.tobytes() == built.lane.tobytes()
+            assert back.start.tobytes() == built.start.tobytes()
             assert back.pad_code == built.pad_code
             assert back.residues.shape == built.residues.shape
 
@@ -121,7 +124,9 @@ class TestRoundTrip:
         store = PackStore(tmp_path / "s", mmap=mmap, create=True)
         store.put_packs(database, BLOSUM62, lanes=8)
         (pack, *_rest) = store.get_packs(database, BLOSUM62, lanes=8)
-        for array in (pack.residues, pack.lengths, pack.order):
+        for array in (
+            pack.residues, pack.lengths, pack.order, pack.lane, pack.start
+        ):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
 
@@ -411,6 +416,101 @@ class TestBinnedStoreCompatibility:
             store.verify()
         assert main(["db", "verify", str(store.directory)]) == 1
         assert "FAILED" in capsys.readouterr().err
+
+
+def _rewrite_as_classic_entry(store, key, database, lanes):
+    """Rewrite pack entry *key* in the shape of stores written before
+    lanes were streamed.
+
+    Those entries hold one length-sorted subject per lane: a manifest
+    listing ``[rows, lanes]`` per pack and only the residues, lengths
+    and order arrays.  The entry keeps its key, so a later ``put_packs``
+    leaves it as it is.  The arrays and CRCs are real.
+    """
+    from repro.durability.journal import encode_record
+    from repro.store.packstore import _serialize_array
+
+    packs = tuple(classic_packs(database, BLOSUM62, lanes))
+    manifest = store.read_manifest(key)
+    for field in ("lane", "start"):
+        (store._objects / manifest["arrays"].pop(field)["file"]).unlink()
+    for field in ("residues", "lengths", "order"):
+        array = np.concatenate([getattr(p, field).ravel() for p in packs])
+        blob, crc = _serialize_array(array)
+        spec = manifest["arrays"][field]
+        (store._objects / spec["file"]).write_bytes(blob)
+        spec.update(crc=crc, size=int(array.size))
+    manifest["packs"] = [list(p.residues.shape) for p in packs]
+    (store._objects / f"{key}.json").write_text(
+        encode_record(manifest) + "\n", encoding="utf-8"
+    )
+    return packs
+
+
+class TestClassicStoreCompatibility:
+    """A store written before lanes were streamed still serves.
+
+    Its pack entries (same schema, same key) hold one subject per lane
+    and no ``lane``/``start`` arrays; ``db build`` leaves such an entry
+    as it is.  They verify, inspect and search like new entries.
+    """
+
+    @staticmethod
+    def _store(tmp_path):
+        from repro.sequences import query_set, write_fasta
+
+        rng = np.random.default_rng(29)
+        database = random_database(30, 40.0, rng, name="classic-db")
+        queries = query_set(3, rng, 20, 40)
+        write_fasta(database, tmp_path / "db.fasta")
+        write_fasta(queries, tmp_path / "q.fasta")
+        store = build_store(tmp_path / "s", database, BLOSUM62,
+                            queries=queries)
+        key = store.packs_key(database_digest(database), BLOSUM62.digest, 32)
+        return store, key, database
+
+    def test_verify_and_warm_search(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store, key, database = self._store(tmp_path)
+        classic = _rewrite_as_classic_entry(store, key, database, 32)
+        # Streamed, the 30 subjects share one pack; classic, one per lane.
+        assert len(tuple(pack_database(database, BLOSUM62))) == 1
+        assert [p.residues.shape[1] for p in classic] == [30]
+        manifest = store.read_manifest(key)
+        assert "lane" not in manifest["arrays"]
+        loaded = store.load_packs(key)
+        for built, back in zip(classic, loaded, strict=True):
+            assert back.residues.tobytes() == built.residues.tobytes()
+            assert back.order.tobytes() == built.order.tobytes()
+            assert back.lane.tolist() == list(range(len(back.order)))
+            assert not back.start.any()
+        assert store.verify() == {"entries": 10, "packs": 1, "profiles": 9}
+        assert main(["db", "verify", str(store.directory)]) == 0
+        assert main(["db", "inspect", str(store.directory)]) == 0
+        # Rebuilding leaves the classic entry as it is.
+        assert main(["db", "build", str(tmp_path / "db.fasta"),
+                     "--store", str(store.directory)]) == 0
+        assert store.read_manifest(key) == manifest
+        capsys.readouterr()
+
+        def hits(*extra):
+            assert main(["search", str(tmp_path / "q.fasta"),
+                         str(tmp_path / "db.fasta"), "--top", "5",
+                         *extra]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("# makespan")]
+
+        cold = hits()
+        assert hits("--store", str(store.directory)) == cold
+        assert hits("--batch", "3", "--store", str(store.directory)) == cold
+
+    @pytest.mark.parametrize("field", ["lane", "start"])
+    def test_corrupt_lane_array_fails_verify(self, tmp_path, field):
+        store, key, _ = self._store(tmp_path)
+        _flip_byte(store._objects / f"{key}.{field}.npy", 140)
+        with pytest.raises(StoreError, match=f"{key}.{field}.npy"):
+            store.verify()
 
 
 # ----------------------------------------------------------------------
