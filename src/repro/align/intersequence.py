@@ -16,12 +16,13 @@ CUDA threads, and streams subjects through the lanes as SWIPE does:
   hold the pad residue, whose profile row is strongly negative;
 * one DP sweep advances **all lanes of a pack simultaneously**: the
   outer loop runs over pack rows, and each row update is a vectorized
-  step over query-major ``(lanes, Q, m)`` state, with the vertical
-  ``F`` dependency solved by the same max-plus prefix scan as
-  :mod:`repro.align.columnwise` (``np.maximum.accumulate`` along the
-  query axis for every lane at once).  After a row on which subjects
-  end, their lanes' best scores are read out and those lanes' state is
-  reset, so the next subject in a lane starts from a fresh DP.
+  step over ``(lanes, W)`` state, the stacked queries back to back on
+  the query axis, with the vertical ``F`` dependency solved by the same
+  max-plus prefix scan as :mod:`repro.align.columnwise`
+  (``np.maximum.accumulate`` along the query axis for every lane at
+  once).  After a row on which subjects end, their lanes' best scores
+  are read out and those lanes' state is reset, so the next subject in
+  a lane starts from a fresh DP.
 
 That sweep is the one kernel of the package.  It is parameterised by
 query count ``Q`` (stacked queries, :mod:`repro.align.multiquery`);
@@ -193,23 +194,25 @@ _STATES = (
 
 
 def _build_profile(queries_codes, matrix: SubstitutionMatrix) -> np.ndarray:
-    """Stacked padded query profiles: a read-only ``(A+1, m_max, Q)`` tensor.
+    """Ragged stacked query profile: a read-only ``(A+1, n)`` int64 array.
 
-    ``profile[c, i, q]`` is the int64 substitution score of residue code
-    ``c`` against position ``i`` of query ``q``.  The pad-residue row
-    ``profile[-1]`` and every position past a query's end hold the pad
-    score :data:`_PAD`, so padded cells can never raise a score.
+    The queries' profiles lie back to back along the column axis, ``n``
+    their total length: query ``q``'s position ``i`` is column
+    ``sum(m_p for p < q) + i``, and ``profile[c, column]`` the int64
+    substitution score of residue code ``c`` against it.  No query is
+    padded.  The pad-residue row ``profile[-1]`` holds the pad score
+    :data:`_PAD`, so pad cells can never raise a score.  A single
+    query's profile is the ``(A+1, m)`` padded profile.
     """
     if not len(queries_codes):
         raise ValueError("at least one query is required")
-    m_max = max(len(codes) for codes in queries_codes)
-    profile = np.full(
-        (matrix.alphabet.size + 1, m_max, len(queries_codes)),
-        _PAD,
-        dtype=np.int64,
+    codes = np.concatenate(
+        [np.asarray(c, dtype=np.intp) for c in queries_codes]
     )
-    for q, codes in enumerate(queries_codes):
-        profile[:-1, : len(codes), q] = matrix.profile_for(codes)
+    profile = np.full(
+        (matrix.alphabet.size + 1, len(codes)), _PAD, dtype=np.int64
+    )
+    profile[:-1] = matrix.profile_for(codes)
     profile.setflags(write=False)
     return profile
 
@@ -218,22 +221,56 @@ def _padded_profile(
     query_codes: np.ndarray, matrix: SubstitutionMatrix
 ) -> np.ndarray:
     """Query profile with one extra, strongly negative pad-residue row."""
-    return _build_profile([query_codes], matrix)[:, :, 0]
+    return _build_profile([query_codes], matrix)
 
 
-def _state(profile: np.ndarray, gaps: GapModel):
-    """Narrowest exact sweep state for *profile*: ``(dtype, pad)``.
+def _state(profile: np.ndarray, lengths, gaps: GapModel):
+    """Narrowest exact sweep state for a ragged *profile* of queries of
+    *lengths*: ``(dtype, pad)``.
 
     See :func:`_sweep` for why the dtype holds every intermediate
     exactly.
     """
-    m = profile.shape[1]
-    s_max = max(int(profile.max()), 0)
+    m = int(max(lengths))
+    s_max = int(profile.max(initial=0))
     reach = s_max * m + max(s_max, m * gaps.extend + gaps.open)
     for dtype, k in _STATES:
         if reach < 1 << k:
             return dtype, -(1 << (k + 1))
     raise OverflowError(f"scores up to {reach} exceed the int64 sweep state")
+
+
+def _segments(lengths, s_max: int, gaps: GapModel, dtype, pad: int):
+    """Column layout of a ragged query stack: ``(starts, ramp, groups)``.
+
+    Query ``q`` is the segment of ``1 + m_q`` columns from
+    ``starts[q]``: its boundary column, then its positions.  ``ramp`` is
+    the lazy-F ramp of every column: it rises by ``e`` per column and,
+    after each query, jumps by a further ``S*m_q``, so no query's G can
+    raise a later query's F above 0.  ``groups`` are the ``(first,
+    stop)`` column ranges of the prefix scan: a new group (and a ramp
+    back at 0) starts at a query whose ramp top plus ``|pad| + S*m``
+    would leave *dtype* (see :func:`_sweep`).
+    """
+    lengths = [int(m) for m in lengths]
+    e = gaps.extend
+    room = int(np.iinfo(dtype).max) + pad - s_max * max(lengths)
+    starts, ramp, groups = [], [], []
+    column = base = 0
+    for m in lengths:
+        if base + m * e > room:
+            groups.append(column)
+            base = 0
+        starts.append(column)
+        ramp.append(base + e * np.arange(1 + m))
+        base += e * (1 + m) + s_max * m
+        column += 1 + m
+    bounds = [0, *groups, column]
+    return (
+        np.array(starts, dtype=np.intp),
+        np.concatenate(ramp),
+        list(zip(bounds[:-1], bounds[1:])),
+    )
 
 
 def _ends(pack: LanePack) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -250,24 +287,29 @@ def _ends(pack: LanePack) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     }
 
 
-def _sweep(profile: np.ndarray, pack: LanePack, gaps: GapModel) -> np.ndarray:
+def _sweep(
+    profile: np.ndarray, lengths, pack: LanePack, gaps: GapModel
+) -> np.ndarray:
     """The lane sweep: best local score of every (subject, query) pair.
 
-    *profile* is an ``(A+1, m, Q)`` stacked int64 profile; *pack* is a
+    *profile* is a ragged ``(A+1, n)`` stacked int64 profile of queries
+    of *lengths* (:func:`_build_profile`); *pack* is a
     :class:`LanePack`.  Returns ``(subjects, Q)`` int64 best scores,
-    aligned with ``pack.order``; an empty subject scores 0.
+    aligned with ``pack.order``; an empty subject or query scores 0.
 
-    **Layout.**  The DP state is query-major: ``(lanes, Q, 1 + m)``,
-    stored flat, query position innermost, with a boundary column 0
-    ahead of each (lane, query) row.  The profile is transposed once on
-    entry to ``(A+1, Q, 1 + m)``.  Every per-row op is then one
-    contiguous run: the gather copies whole ``(Q, 1 + m)`` slabs, the
+    **Layout.**  The DP state is ``(lanes, W)``, stored flat.  Along a
+    lane's row the queries lie back to back, with no pad columns: query
+    ``q`` is a segment of ``1 + m_q`` columns, its boundary column and
+    then its positions, so ``W = sum(1 + m_q)``.  The profile is laid
+    out once on entry as ``(A+1, W)``.  Every per-row op is then one
+    contiguous run: the gather copies whole ``W``-wide rows, the
     diagonal is the H buffer read one cell back (a lead cell holding 0
     makes ``buffer[:-1]`` that shift), and the lazy-F prefix scan runs
     along the contiguous last axis.  The shift wraps each boundary cell
-    onto the previous row's last cell; the boundary's pad profile score
-    and its ``|pad|`` F ramp keep it at exactly 0, so no row needs a
-    fix-up.  The best score is an elementwise running max of H.
+    onto the previous segment's (or lane's) last cell; the boundary's
+    pad profile score and its F ramp keep it at exactly 0, so no row
+    needs a fix-up.  The best score is an elementwise running max of
+    H, reduced per segment where subjects end.
 
     **Streaming.**  After each row on which subjects end, the sweep
     reduces those lanes' running best into the subjects' scores and
@@ -276,12 +318,30 @@ def _sweep(profile: np.ndarray, pack: LanePack, gaps: GapModel) -> np.ndarray:
     DP: no diagonal, gap or best carries across the boundary.  F needs
     no reset: it is rebuilt from H on every row.
 
+    **Segment ramps.**  The scan computes ``G = max-prefix(H + ramp)``
+    and ``F[c] = G[c-1] - ramp_dn[c]`` (:func:`_segments`).  Inside a
+    segment the ramp rises by ``e`` per column and ``ramp_dn[c] =
+    ramp[c-1] + o``, so F at position ``i`` of query ``q`` from position
+    ``k < i`` of the same query is ``H[k] - o - (i-1-k)*e``: the exact
+    vertical gap.  The scan runs once per *group* of consecutive
+    segments, and the ramp keeps rising across the segments of a group:
+    after query ``p`` it also jumps by ``S*m_p`` (``S`` below).  A cell
+    of an earlier query ``p`` then adds at most ``S*m_p + base_p +
+    m_p*e`` to G, and a later query's ``ramp_dn`` subtracts at least
+    ``base_p + (1 + m_p)*e + S*m_p + o``, so that term is at most
+    ``-(o + e) <= 0`` and never raises an H cell, which the zero floor
+    keeps at 0 or above.  A boundary column's ``ramp_dn`` is the
+    previous column's ramp plus ``|pad|`` (for column 0, the last
+    column's: the previous lane ends there), and the lead cell of G
+    holds that ramp; as the ramp never falls inside a group, its F is
+    ``G[c-1] - ramp[c-1] - |pad|``, in ``[pad, B + pad]`` and below 0.
+
     **State dtype.**  The state is the narrowest of int16/int32/int64
     that provably holds every intermediate, chosen per call from a
     static bound (the paper's 16-bit path, decided by a bound instead of
     by overflow detection).  Let ``S`` be the largest profile score
-    (floored at 0), ``m`` the stacked query length, ``o``/``e`` the gap
-    open/extend costs and ``B = S*m``.  Then:
+    (floored at 0), ``m`` the longest query's length, ``o``/``e`` the
+    gap open/extend costs and ``B = S*m``.  Then:
 
     * every H cell is in ``[0, B]``: a local alignment ending at query
       position ``i`` scores at most ``S*i``, and the zero floor keeps it
@@ -289,42 +349,50 @@ def _sweep(profile: np.ndarray, pack: LanePack, gaps: GapModel) -> np.ndarray:
     * the diagonal term ``H + score`` is at most ``B + S``;
     * ``E = max(H - o, E - e)`` starts at the pad score, is ``pad - e``
       at its lowest, and lies in ``[-o, B - o]`` from the first row on;
-    * the scan adds ``i*e <= m*e`` to H, so ``G <= B + m*e`` and
-      ``F = G - (o + i*e) >= -(o + m*e)``; a boundary cell's
-      ``F = G - |pad|`` lies in ``[pad, 0)``.
+    * ``G[c-1] >= ramp[c-1]``, as H is non-negative and the lead cell
+      holds the last column's ramp, so ``F >= -o`` inside a segment and
+      ``F >= pad`` on a boundary column.
 
-    So every intermediate not derived from a pad score lies within
-    ``reach = B + max(S, m*e + o)`` of zero.  A state with exponent
-    ``k`` (13, 29, 61 for int16, int32, int64; :data:`_STATES`) is used
-    while ``reach < 2**k``, with pad score ``-2**(k+1)``.  Then
+    So every intermediate not derived from a pad score or the ramp lies
+    within ``reach = B + max(S, m*e + o)`` of zero.  A state with
+    exponent ``k`` (13, 29, 61 for int16, int32, int64; :data:`_STATES`)
+    is used while ``reach < 2**k``, with pad score ``-2**(k+1)``.  Then
     ``|pad| > reach``, so a diagonal term through a pad score is below
     zero whatever H it adds to and never sets a cell; and, as
     ``e < 2**k``, ``pad - e > -2**(k+2)``, the dtype's minimum, so
-    nothing wraps.  Profile scores at or below the profile's own pad,
-    or below the state pad, become the state pad: a diagonal term
+    nothing wraps.  The **group bound** keeps the ramp in range too: a
+    new group starts, its ramp back at 0, wherever the ramp top ``T``
+    would break ``T + |pad| + B < 2**(k+2)``.  Then ``G <= B + T`` and
+    ``ramp_dn <= T + |pad|`` fit.  One query alone always fits, since
+    ``m*e + B < 2**k``.  Profile scores at or below the profile's own
+    pad, or below the state pad, become the state pad: a diagonal term
     through one is negative either way.  So every H, E and F — hence
     every score — equals the int64 recurrence's.
     """
-    _, m, nq = profile.shape
     rows, lanes = pack.residues.shape
-    scores = np.zeros((len(pack.order), nq), dtype=np.int64)
-    if m == 0 or rows == 0:
+    scores = np.zeros((len(pack.order), len(lengths)), dtype=np.int64)
+    if not profile.shape[1] or rows == 0:
         return scores
-    dtype, pad = _state(profile, gaps)
-    # (A+1, Q, 1 + m) in the state dtype, column 0 the boundary column.
+    dtype, pad = _state(profile, lengths, gaps)
+    s_max = int(profile.max(initial=0))
+    starts, ramp, groups = _segments(lengths, s_max, gaps, dtype, pad)
+    width = len(ramp)
+    # (A+1, W) in the state dtype, boundary columns at the state pad.
     # Input pads and anything below the state pad become the state pad.
-    prof = np.full((profile.shape[0], nq, 1 + m), pad, dtype=dtype)
-    prof[:, :, 1:] = np.where(
+    prof = np.full((profile.shape[0], width), pad, dtype=dtype)
+    prof[:, np.delete(np.arange(width), starts)] = np.where(
         profile <= _PAD, pad, np.maximum(profile, pad)
-    ).transpose(0, 2, 1)
+    )
     go = dtype.type(gaps.open)
     ge = dtype.type(gaps.extend)
     # Flat state; element 0 of each H/G buffer is the lead cell.
-    size = lanes * nq * (1 + m)
+    size = lanes * width
     H_prev = np.zeros(1 + size, dtype=dtype)
     H_next = np.zeros_like(H_prev)
     G = np.zeros_like(H_prev)
-    scan = G[1:].reshape(lanes * nq, 1 + m)
+    G[0] = ramp[-1]
+    scan = G[1:].reshape(lanes, width)
+    scans = [scan[:, first:stop] for first, stop in groups]
     E = np.full(size, pad, dtype=dtype)
     Ebuf = np.empty(size, dtype=dtype)
     F = np.empty(size, dtype=dtype)
@@ -332,17 +400,17 @@ def _sweep(profile: np.ndarray, pack: LanePack, gaps: GapModel) -> np.ndarray:
     # Full-size operands: a broadcast or scalar operand costs more per
     # call than the arithmetic at these sizes.
     zero = np.zeros(size, dtype=dtype)
-    steps = np.arange(1 + m, dtype=dtype) * ge
-    ramp_up = np.tile(steps, lanes * nq)
-    drop = np.concatenate((np.array([-pad], dtype=dtype), go + steps[:-1]))
-    ramp_dn = np.tile(drop, lanes * nq)
+    ramp_up = np.tile(ramp.astype(dtype), lanes)
+    drop = np.full(width, gaps.open, dtype=np.int64)
+    drop[starts] = -pad
+    ramp_dn = np.tile((np.roll(ramp, 1) + drop).astype(dtype), lanes)
 
-    # (lanes, Q, 1 + m) views of the state, for the per-lane resets.
-    H_prev3, H_next3 = (
-        buffer[1:].reshape(lanes, nq, 1 + m) for buffer in (H_prev, H_next)
+    # (lanes, W) views of the state, for the per-lane resets.
+    H_prev2, H_next2 = (
+        buffer[1:].reshape(lanes, width) for buffer in (H_prev, H_next)
     )
-    E3 = E.reshape(lanes, nq, 1 + m)
-    best3 = best.reshape(lanes, nq, 1 + m)
+    E2 = E.reshape(lanes, width)
+    best2 = best.reshape(lanes, width)
     ends = _ends(pack)
 
     for j, row in enumerate(pack.residues):
@@ -353,23 +421,25 @@ def _sweep(profile: np.ndarray, pack: LanePack, gaps: GapModel) -> np.ndarray:
         np.add(H_prev[:-1], prof[row].reshape(size), out=H)
         np.maximum(H, E, out=H)
         np.maximum(H, zero, out=H)
-        # Lazy F by one max-plus prefix scan along the query axis.  One
-        # scan is the exact column fixpoint because GapModel guarantees
-        # open >= extend: a vertical gap routed through an F-raised cell
-        # pays an extra ``open - extend`` over the direct path.
+        # Lazy F by one max-plus prefix scan per group along the query
+        # axis.  One scan is the exact column fixpoint because GapModel
+        # guarantees open >= extend: a vertical gap routed through an
+        # F-raised cell pays an extra ``open - extend`` over the direct
+        # path.
         np.add(H, ramp_up, out=G[1:])
-        np.maximum.accumulate(scan, axis=1, out=scan)
+        for part in scans:
+            np.maximum.accumulate(part, axis=1, out=part)
         np.subtract(G[:-1], ramp_dn, out=F)
         np.maximum(H, F, out=H)
         np.maximum(best, H, out=best)
         H_prev, H_next = H_next, H_prev
-        H_prev3, H_next3 = H_next3, H_prev3
+        H_prev2, H_next2 = H_next2, H_prev2
         if j in ends:
             done, subjects = ends[j]
-            scores[subjects] = best3[done].max(axis=2)
-            best3[done] = 0
-            H_prev3[done] = 0
-            E3[done] = pad
+            scores[subjects] = np.maximum.reduceat(best2[done], starts, axis=1)
+            best2[done] = 0
+            H_prev2[done] = 0
+            E2[done] = pad
     return scores
 
 
@@ -388,7 +458,7 @@ def sw_score_batch(
     """
     if profile is None:
         profile = _padded_profile(query_codes, matrix)
-    return _sweep(profile[:, :, None], pack, gaps)[:, 0]
+    return _sweep(profile, [profile.shape[1]], pack, gaps)[:, 0]
 
 
 def sw_score_database(

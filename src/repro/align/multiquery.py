@@ -7,23 +7,25 @@ several **queries** share one sweep over the packed database, so the
 database conversion, the lane bookkeeping, and the Python-level loop
 overhead are all paid once per batch instead of once per query.
 
-This module stacks query profiles into one query-major sweep:
+This module stacks query profiles into one ragged sweep:
 
-* each query's padded profile becomes one slab of a
-  ``(alphabet + 1, m_max, Q)`` tensor (:class:`MultiQueryProfile`);
-  queries shorter than ``m_max`` are padded with the same strongly
-  negative sentinel rows used for subject-lane padding;
+* the queries' profiles lie back to back along one column axis, a
+  ``(alphabet + 1, sum(m_q))`` array (:class:`MultiQueryProfile`); no
+  query is padded to the longest, so a batch of unequal queries
+  computes no cells a query does not own;
 * the sweep is the package's one lane kernel
-  (:mod:`repro.align.intersequence`) with ``Q`` stacked queries: its
-  state is ``(lanes, Q, m)``, query position innermost, so every numpy
-  op covers all ``lanes x Q x m`` cells in one contiguous run, and the
-  lazy-F prefix scan runs along each (lane, query) row at once.
+  (:mod:`repro.align.intersequence`) with ``Q`` stacked queries: along
+  each lane's row of state, query ``q`` is a segment of ``1 + m_q``
+  columns (a boundary column, then its positions), so every numpy op
+  covers all ``lanes x sum(1 + m_q)`` cells in one contiguous run, and
+  the lazy-F prefix scan runs along each lane's row at once.
 
-Padding is provably inert: a padded query row can only be reached
-through a gap that subtracts a positive open penalty from an H value
-already counted in ``best``, so per-query scores are bit-exact with the
-single-query kernel (and hence with the reference kernel) — the
-conformance suite asserts this.
+No query's state leaks into another's: the scan's F ramp jumps at each
+segment end by more than any earlier query can score, and restarts at
+0 (a new scan group) before it would leave the state dtype, so
+per-query scores are bit-exact with the single-query kernel (and hence
+with the reference kernel) — :func:`~repro.align.intersequence._sweep`
+holds the proof, and the conformance suite asserts it.
 """
 
 from __future__ import annotations
@@ -58,24 +60,25 @@ __all__ = [
 class MultiQueryProfile:
     """Stacked query profiles for one multi-query sweep.
 
-    ``profile[c, i, q]`` is the substitution score of residue code ``c``
-    against position ``i`` of query ``q``; positions past query ``q``'s
-    length (and the pad-residue row ``profile[-1]``) are strongly
-    negative so padded cells can never raise a score.
+    Query ``q``'s positions are the ``lengths[q]`` columns of *profile*
+    after those of queries ``0 .. q-1``: ``profile[c, column]`` is the
+    substitution score of residue code ``c`` against that position.
+    The pad-residue row ``profile[-1]`` is strongly negative so pad
+    cells can never raise a score.
     """
 
-    profile: np.ndarray  # (alphabet + 1, m_max, Q) int64
+    profile: np.ndarray  # (alphabet + 1, lengths.sum()) int64
     lengths: np.ndarray  # (Q,) int64
 
     @property
     def queries(self) -> int:
         """Number of stacked queries."""
-        return self.profile.shape[2]
+        return len(self.lengths)
 
     @property
     def max_length(self) -> int:
-        """Padded query length shared by the sweep."""
-        return self.profile.shape[1]
+        """Length of the longest stacked query."""
+        return int(self.lengths.max())
 
     @classmethod
     def build(
@@ -83,7 +86,7 @@ class MultiQueryProfile:
         queries_codes: SequenceType[np.ndarray],
         matrix: SubstitutionMatrix,
     ) -> "MultiQueryProfile":
-        """Stack the queries' padded profiles into one tensor."""
+        """Lay the queries' profiles back to back."""
         lengths = np.array([len(c) for c in queries_codes], dtype=np.int64)
         return cls(_build_profile(queries_codes, matrix), lengths)
 
@@ -92,7 +95,7 @@ def build_multi_profile(
     queries_codes: SequenceType[np.ndarray],
     matrix: SubstitutionMatrix,
 ) -> MultiQueryProfile:
-    """Stack per-query padded profiles into one ``(A+1, m_max, Q)`` tensor."""
+    """Lay per-query profiles back to back in one ragged stack."""
     return MultiQueryProfile.build(queries_codes, matrix)
 
 
@@ -107,7 +110,7 @@ def sw_score_batch_multi(
     scores aligned with ``pack.order`` (scatter through it for database
     order).
     """
-    return _sweep(mq.profile, pack, gaps).T
+    return _sweep(mq.profile, mq.lengths, pack, gaps).T
 
 
 def sw_score_database_multi(

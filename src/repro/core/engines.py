@@ -339,7 +339,8 @@ class InterSequenceEngine(Engine):
     def search_batch(self, queries, database, progress=None, cancelled=None):
         """Native multi-query sweep: all queries share each lane pack.
 
-        One 3-D DP sweep (:func:`~repro.align.multiquery.sw_score_batch_multi`)
+        One DP sweep (:func:`~repro.align.multiquery.sw_score_batch_multi`)
+        over the queries laid back to back, none padded to the longest,
         advances every query over a pack simultaneously, so the pack
         loop, the profile gather and the lazy-F scan are paid once per
         batch.  Abort/cancel granularity stays per pack, exactly as in

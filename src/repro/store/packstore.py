@@ -48,7 +48,9 @@ A pack entry's manifest lists each pack as ``[rows, lanes, subjects]``
 and its arrays include the per-subject ``lane`` and ``start`` of the
 streamed layout.  Entries written before lanes were streamed list
 ``[rows, lanes]`` and carry neither array: they load as one subject
-per lane, which the sweep scores the same way.
+per lane, which the sweep scores the same way, and the next
+:meth:`PackStore.put_packs` of the same key (``repro db build``)
+re-packs them streamed.
 """
 
 from __future__ import annotations
@@ -240,12 +242,20 @@ class PackStore:
         """Pack *database* and persist the batches; returns the key.
 
         Content addressing makes this idempotent: if the entry already
-        exists the pack step is skipped entirely.
+        exists the pack step is skipped entirely.  An entry written
+        before lanes were streamed (no ``lane``/``start`` arrays) is
+        re-packed in the streamed layout instead.
         """
         db_digest = database_digest(database)
         key = self.packs_key(db_digest, matrix.digest, lanes)
-        if self._manifest_path(key).exists():
-            return key
+        manifest_path = self._manifest_path(key)
+        if manifest_path.exists():
+            if {"lane", "start"} <= self.read_manifest(key)["arrays"].keys():
+                return key
+            # Drop the old manifest first: a crash mid-rewrite then
+            # leaves the entry absent, never old arrays mixed with new.
+            manifest_path.unlink()
+            _fsync_directory(self._objects)
         packs = tuple(pack_database(database, matrix, lanes=lanes))
         arrays = {}
         for field in _PACK_FIELDS:

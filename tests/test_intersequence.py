@@ -17,7 +17,12 @@ from repro.align import (
     sw_score_database,
     sw_score_reference,
 )
-from repro.align.intersequence import _build_profile, _state, _sweep
+from repro.align.intersequence import (
+    _build_profile,
+    _segments,
+    _state,
+    _sweep,
+)
 from repro.align.reference import _codes
 from repro.sequences import (
     DNA,
@@ -202,6 +207,7 @@ def _sweep_vs_reference(queries, subjects, matrix, gaps, lanes):
     one-subject-per-lane packs; check both against the reference."""
     codes = [_codes(q, matrix) for q in queries]
     profile = _build_profile(codes, matrix)
+    lengths = [len(c) for c in codes]
     db = SequenceDatabase(
         [Sequence(id=f"d{i}", residues=s) for i, s in enumerate(subjects)]
     )
@@ -214,12 +220,12 @@ def _sweep_vs_reference(queries, subjects, matrix, gaps, lanes):
                   classic_packs(db, matrix, lanes)):
         best = np.full((len(subjects), len(queries)), -1, dtype=np.int64)
         for pack in packs:
-            swept = _sweep(profile, pack, gaps)
+            swept = _sweep(profile, lengths, pack, gaps)
             assert swept.dtype == np.int64
             assert swept.shape == (len(pack.order), len(queries))
             best[pack.order] = swept
         assert best.tobytes() == expected.tobytes()
-    return profile
+    return _state(profile, lengths, gaps)[0]
 
 
 def _boundary_subjects(query, rng_letters):
@@ -274,10 +280,9 @@ class TestStateDtype:
         reach = _reach(s_max, m, gaps)
         assert (reach < edge) == (side == "below")
         queries = [query, query[: (m + 1) // 2]]
-        profile = _sweep_vs_reference(
+        state = _sweep_vs_reference(
             queries, _boundary_subjects(query, decoy), matrix, gaps, lanes
         )
-        state = _state(profile, gaps)[0]
         narrow, wide = {13: (np.int16, np.int32), 29: (np.int32, np.int64)}[k]
         assert state == (narrow if side == "below" else wide)
 
@@ -286,10 +291,10 @@ class TestStateDtype:
         matrix = match_mismatch(32000, -32000, alphabet=PROTEIN)
         gaps = affine_gap(10, 2)
         query = "W" * 16800
-        profile = _sweep_vs_reference(
+        state = _sweep_vs_reference(
             [query], ["WWW", "WAW", "AWWWWA", "A"], matrix, gaps, 4
         )
-        assert _state(profile, gaps)[0] == np.int64
+        assert state == np.int64
 
 
 def protein_db(subjects):
@@ -413,6 +418,179 @@ class TestStreamedLanes:
         assert sw_score_database(
             Sequence(id="q", residues=query), db, matrix, gaps, lanes=2
         ).tolist() == [0, 50, 5]
+
+
+#: The gaps of the group-count claims: under BLOSUM62 with 10/2 gaps
+#: the sweep's state is int16 up to 629-residue queries.
+BLASTP_GAPS = affine_gap(10, 2)
+
+
+def _scan_groups(lengths, matrix=BLOSUM62, gaps=BLASTP_GAPS):
+    """The scan groups of a stack of all-W queries of *lengths* (W is
+    BLOSUM62's top score, 11)."""
+    profile = _build_profile([_codes("W" * m, matrix) for m in lengths],
+                             matrix)
+    dtype, pad = _state(profile, lengths, gaps)
+    return _segments(lengths, int(profile.max(initial=0)), gaps, dtype,
+                     pad)[2]
+
+
+def _ragged_vs_singletons(queries, subjects, matrix, gaps, lanes):
+    """Sweep *queries* as one ragged stack over streamed and classic
+    packs: each column must equal that query swept alone, and every
+    score the reference kernel's."""
+    codes = [_codes(q, matrix) for q in queries]
+    profile = _build_profile(codes, matrix)
+    lengths = [len(c) for c in codes]
+    alone = [_build_profile([c], matrix) for c in codes]
+    db = protein_db(subjects)
+    for packs in (pack_database(db, matrix, lanes=lanes),
+                  classic_packs(db, matrix, lanes)):
+        for pack in packs:
+            stacked = _sweep(profile, lengths, pack, gaps)
+            singles = np.stack(
+                [_sweep(p, [m], pack, gaps)[:, 0]
+                 for p, m in zip(alone, lengths)],
+                axis=1,
+            )
+            assert stacked.tobytes() == singles.tobytes()
+    return _sweep_vs_reference(queries, subjects, matrix, gaps, lanes)
+
+
+def _random_queries(lengths, seed):
+    rng = np.random.default_rng(seed)
+    return ["".join(rng.choice(list("ARNDWYX"), size=m)) for m in lengths]
+
+
+#: Query lengths of ragged stacks: empty, short, and either side of the
+#: int16 limit.
+ragged_lengths = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=40),
+              st.sampled_from([0, 629, 630])),
+    min_size=1,
+    max_size=5,
+)
+#: Few, short subjects: the reference kernel is pure Python.
+short_subjects = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text(alphabet="ARNDWYX", min_size=1, max_size=6),
+        st.text(alphabet="ARNDWYX", min_size=7, max_size=14),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestRaggedStacks:
+    """Queries back to back on the query axis score as if swept alone."""
+
+    @given(
+        lengths=ragged_lengths,
+        equal=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        subjects=short_subjects,
+        matrix_name=st.sampled_from(["blosum62", "match90"]),
+        lanes=st.sampled_from([1, 3, 8]),
+    )
+    # Stacks that take two scan groups: three 629-residue queries in
+    # int16 under BLOSUM62, and six 40-residue ones under match90.  And
+    # an int32 stack, one query past the int16 limit.
+    @example(lengths=[629, 629, 0, 629], equal=False, seed=1,
+             subjects=["WWWWWWWWWWWW", "", "ARNDW", "YWYWYWY"],
+             matrix_name="blosum62", lanes=3)
+    @example(lengths=[40], equal=True, seed=2,
+             subjects=["WWWWWWW", "AR", "", "XWXWXWXWX", "NDNDNDND"],
+             matrix_name="match90", lanes=3)
+    @example(lengths=[630, 0, 5, 629], equal=False, seed=3,
+             subjects=["W" * 14, "YY"], matrix_name="blosum62", lanes=1)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_singletons_and_reference(
+        self, lengths, equal, seed, subjects, matrix_name, lanes
+    ):
+        if equal:
+            lengths = [lengths[0]] * 6
+        _ragged_vs_singletons(_random_queries(lengths, seed), subjects,
+                              KERNEL_MATRICES[matrix_name], BLASTP_GAPS,
+                              lanes)
+
+
+class TestScanGroups:
+    """The grouping rule, pinned for BLOSUM62 with 10/2 gaps."""
+
+    def test_int16_limit(self):
+        for m, dtype in ((629, np.int16), (630, np.int32)):
+            profile = _build_profile([_codes("W" * m, BLOSUM62)], BLOSUM62)
+            assert _state(profile, [m], BLASTP_GAPS)[0] == dtype
+
+    def test_search_batched_stack_is_one_group(self):
+        assert len(_scan_groups([280, 120, 170, 230])) == 1
+
+    def test_four_400_residue_queries_take_two_groups(self):
+        assert _scan_groups([400] * 4) == [(0, 1203), (1203, 1604)]
+
+    def test_property_examples_take_two_groups(self):
+        assert len(_scan_groups([629, 629, 0, 629])) == 2
+        assert len(_scan_groups([40] * 6, KERNEL_MATRICES["match90"])) == 2
+
+    @given(
+        m=st.integers(min_value=0, max_value=20000),
+        gaps=gap_models,
+        matrix_name=st.sampled_from(sorted(KERNEL_MATRICES)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_single_query_is_one_group(self, m, gaps, matrix_name):
+        groups = _scan_groups([m], KERNEL_MATRICES[matrix_name], gaps)
+        assert groups == [(0, 1 + m)]
+
+    @given(
+        lengths=st.lists(st.integers(min_value=0, max_value=700),
+                         min_size=1, max_size=12),
+        gaps=gap_models,
+        matrix_name=st.sampled_from(sorted(KERNEL_MATRICES)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_ramps_stay_in_the_state(self, lengths, gaps, matrix_name):
+        """The groups tile the columns, each ramp rises from 0, and its
+        top ``T`` keeps ``T + |pad| + S*m`` within the state dtype: so
+        ``T < |pad|``, and no ramp, G or F wraps."""
+        matrix = KERNEL_MATRICES[matrix_name]
+        profile = _build_profile([_codes("W" * m, matrix) for m in lengths],
+                                 matrix)
+        dtype, pad = _state(profile, lengths, gaps)
+        s_max = int(profile.max(initial=0))
+        starts, ramp, groups = _segments(lengths, s_max, gaps, dtype, pad)
+        assert len(ramp) == sum(1 + m for m in lengths)
+        assert starts.tolist() == np.cumsum([0, *(1 + m for m in lengths)])[
+            :-1].tolist()
+        assert [first for first, _ in groups][1:] == [
+            stop for _, stop in groups][:-1]
+        assert groups[0][0] == 0 and groups[-1][1] == len(ramp)
+        for first, stop in groups:
+            assert first < stop and ramp[first] == 0
+            assert (np.diff(ramp[first:stop]) >= 0).all()
+            top = int(ramp[stop - 1])
+            assert top - pad + s_max * max(lengths) <= np.iinfo(dtype).max
+
+    def test_stack_at_the_group_bound(self):
+        """A ramp top exactly at the bound: ``T + |pad| + S*m`` is
+        int16's maximum, so the boundary columns' ``ramp_dn`` and the
+        lead cell of G hold the largest values the state can.  A bound
+        without ``|pad|`` would wrap ``ramp_dn`` here."""
+        lengths = [400, 400, 113, 54]
+        profile = _build_profile([_codes("W" * m, BLOSUM62)
+                                  for m in lengths], BLOSUM62)
+        dtype, pad = _state(profile, lengths, BLASTP_GAPS)
+        assert dtype == np.int16
+        _, ramp, groups = _segments(lengths, 11, BLASTP_GAPS, dtype, pad)
+        assert groups == [(0, 971)]
+        assert ramp[-1] - pad + 11 * 400 == np.iinfo(np.int16).max
+        assert len(_scan_groups([400, 400, 113, 55])) == 2
+        queries = ["W" + q[1:] for q in _random_queries(lengths, 5)]
+        subjects = [queries[3][:14], "W" * 12, "", queries[0][-9:], "AW"]
+        for lanes in (1, 3):
+            _ragged_vs_singletons(queries, subjects, BLOSUM62, BLASTP_GAPS,
+                                  lanes)
 
 
 class TestKernelEdgeCases:
