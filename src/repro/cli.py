@@ -72,6 +72,14 @@ from .simulate import HybridSimulator, gantt, hybrid_platform
 __all__ = ["main", "build_parser"]
 
 
+def _top_count(text: str) -> int:
+    """``--top``: how many hits to keep, at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree for repro-sw."""
     parser = argparse.ArgumentParser(
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--policy", default="pss",
                         choices=["ss", "pss", "fixed", "wfixed"])
     search.add_argument("--no-adjustment", action="store_true")
-    search.add_argument("--top", type=int, default=5)
+    search.add_argument("--top", type=_top_count, default=5)
     search.add_argument(
         "--evalue", action="store_true",
         help="annotate hits with Karlin-Altschul E-values/bit scores",
@@ -138,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--policy", default="pss",
                          choices=["ss", "pss", "fixed", "wfixed"])
     cluster.add_argument("--no-adjustment", action="store_true")
-    cluster.add_argument("--top", type=int, default=5)
+    cluster.add_argument("--top", type=_top_count, default=5)
     cluster.add_argument(
         "--threads", action="store_true",
         help="run workers as threads instead of processes",
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "0 disables reaping)",
     )
     serve.add_argument("--timeout", type=float, default=3600.0)
-    serve.add_argument("--top", type=int, default=5)
+    serve.add_argument("--top", type=_top_count, default=5)
     serve.add_argument(
         "--export", default=None,
         help="directory to write the indexed query/database files that "
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--matrix", default="blosum62")
     worker.add_argument("--gap-open", type=int, default=10)
     worker.add_argument("--gap-extend", type=int, default=2)
-    worker.add_argument("--top", type=int, default=5)
+    worker.add_argument("--top", type=_top_count, default=5)
     worker.add_argument("--chunk-size", type=int, default=16)
     _add_store_flag(worker)
 

@@ -12,9 +12,10 @@ queries; this module gives the numpy engines the same lever:
 * :class:`PackCache` — memoizes the streamed :class:`LanePack`
   batches of a database conversion, keyed by database identity and
   shape (see ``docs/robustness.md`` for the key-semantics discussion);
-* :class:`ProfileCache` — memoizes query profiles (striped or padded),
-  content-addressed by the query's residue codes so equal sequences
-  share an entry regardless of object identity.
+* :class:`ProfileCache` — memoizes one query's profiles (striped or
+  padded), content-addressed by its residue codes so equal sequences
+  share an entry regardless of object identity; a batch of queries
+  looks up each member's own entry, never a batch composite.
 
 Both caches key on :attr:`SubstitutionMatrix.digest` — a content hash
 of the score table — never on ``matrix.name``, so two distinct customs
@@ -256,9 +257,7 @@ class ProfileCache:
         builder: Callable[[], V],
     ) -> V:
         key = (kind, codes_key, matrix.digest, params)
-        if self.store is None or not isinstance(codes_key, bytes):
-            # "multi" profiles key on tuples of codes; those composites
-            # stay in-memory only.
+        if self.store is None:
             return self._lru.get_or_build(key, builder)
 
         def tiered():

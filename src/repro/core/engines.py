@@ -11,26 +11,32 @@ one interface, plus the plain scan kernel as a baseline:
   (what one GPU does);
 * :class:`ScanEngine` — the column-scan kernel (reference-grade slave).
 
-Engines process the database in chunks so the worker loop can emit
-progress notifications and honour cancellations between chunks — a task
-is abortable at chunk granularity, which is what makes post-finish
-replica cancellation cheap.
+Every engine searches through one loop, :meth:`Engine.search_batch`;
+a single task is a batch of one (:meth:`Engine.search`).  An engine
+supplies two hooks only: how to cut the database into chunks
+(:meth:`Engine._chunks`: lane packs, or ``chunk_size`` subjects) and how
+to score one chunk for the batch's live queries (:meth:`Engine._scorer`).
+After each chunk the loop polls every live query's cancel flag and
+reports its progress, so a task is abortable at chunk granularity —
+which is what makes post-finish replica cancellation cheap — and an
+aborted query is scored no further.
 """
 
 from __future__ import annotations
 
 import abc
-import heapq
+import functools
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..align.api import SearchHit
 from ..align.gaps import DEFAULT_GAPS, GapModel
-from ..align.intersequence import pack_database, sw_score_batch, _padded_profile
+from ..align.intersequence import pack_database, _padded_profile
 from ..align.columnwise import sw_score_scan
-from ..align.multiquery import build_multi_profile, sw_score_batch_multi
+from ..align.multiquery import MultiQueryProfile, sw_score_batch_multi
+from ..align.reference import _codes
 from ..align.scoring import SubstitutionMatrix
 from ..align.striped import (
     SCORE_CAP_8BIT,
@@ -44,7 +50,10 @@ from ..sequences.records import Sequence
 from .caching import default_pack_cache, default_profile_cache
 
 # --- perfbench/ span targets (perfbench/tracing.py is the only caller) ---
-# The removed 8-bit screen's names, kept so instrumenting them resolves.
+# Kernel entry points the engines no longer call, and the removed 8-bit
+# screen's names, kept so instrumenting them resolves.
+from ..align.intersequence import sw_score_batch  # noqa: F401
+from ..align.multiquery import build_multi_profile  # noqa: F401
 from ..align.screening import (  # noqa: F401
     perfbench_placeholder as build_screen_multi_profile,
     perfbench_placeholder as build_screen_profile,
@@ -87,6 +96,33 @@ BatchProgressCallback = Callable[[int, ChunkProgress], bool]
 CancelledCallback = Callable[[int], bool]
 """Polled between chunks: has the batch's ``query_position`` been cancelled?"""
 
+ChunkScorer = Callable[[tuple, object], np.ndarray]
+"""``score(live, chunk)``: ``(len(live), subjects)`` int64 best scores of
+the batch's queries at positions *live*, aligned with ``chunk.order``."""
+
+
+class SubjectChunk(NamedTuple):
+    """``chunk_size`` consecutive subjects: a per-pair engine's chunk."""
+
+    order: np.ndarray  # (subjects,) database indices
+    subjects: tuple[Sequence, ...]
+
+    @property
+    def cells_per_query_residue(self) -> int:
+        return sum(len(subject) for subject in self.subjects)
+
+
+def _per_pair(pair: Callable[[int, Sequence], int]) -> ChunkScorer:
+    """A chunk scorer from ``pair(query_position, subject) -> score``."""
+
+    def score(live, chunk):
+        return np.array(
+            [[pair(position, s) for s in chunk.subjects] for position in live],
+            dtype=np.int64,
+        )
+
+    return score
+
 
 class Engine(abc.ABC):
     """One PE's compute capability."""
@@ -111,6 +147,8 @@ class Engine(abc.ABC):
     ):
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
+        if top < 1:
+            raise ValueError("top must be at least 1")
         self.matrix = matrix
         self.gaps = gaps
         self.top = top
@@ -142,26 +180,11 @@ class Engine(abc.ABC):
         database: SequenceDatabase,
         progress: ProgressCallback | None = None,
     ) -> tuple[SearchHit, ...] | None:
-        """Run one task; ``None`` means the task was aborted mid-flight."""
-        best: list[tuple[int, int]] = []  # min-heap of (score, -index)
-        for index, score, cells in self._score_chunks(query, database):
-            entry = (score, -index)
-            if len(best) < self.top:
-                heapq.heappush(best, entry)
-            elif entry > best[0]:
-                heapq.heapreplace(best, entry)
-            if progress is not None and not progress(ChunkProgress(cells)):
-                return None
-        ranked = sorted(best, key=lambda e: (-e[0], -e[1]))
-        return tuple(
-            SearchHit(
-                subject_id=database[-neg_index].id,
-                subject_index=-neg_index,
-                score=score,
-                subject_length=len(database[-neg_index]),
-            )
-            for score, neg_index in ranked
+        """Run one task, a batch of one; ``None`` means it was aborted."""
+        batch_progress = None if progress is None else (
+            lambda _position, chunk: progress(chunk)
         )
+        return self.search_batch([query], database, batch_progress)[0]
 
     def search_batch(
         self,
@@ -170,35 +193,46 @@ class Engine(abc.ABC):
         progress: BatchProgressCallback | None = None,
         cancelled: CancelledCallback | None = None,
     ) -> list[tuple[SearchHit, ...] | None]:
-        """Run several tasks against one database in a single call.
+        """Run several tasks against one database: the one search loop.
 
-        The generic implementation just loops :meth:`search`; engines
-        with a native multi-query kernel override it.  Results align
-        with *queries*; a ``None`` slot means that query was aborted
-        (its progress callback returned ``False`` or *cancelled* said
-        so).  Per-query outputs are bit-identical to singleton calls.
+        Chunk by chunk (:meth:`_chunks`) the live queries are scored
+        (:meth:`_scorer`); then, in batch order, each live query is
+        polled (*cancelled*) and reported (*progress*, ``False`` aborts
+        it).  An aborted query is scored no further, and once every
+        query is aborted the remaining chunks are skipped.  Results
+        align with *queries*; a ``None`` slot means that query was
+        aborted.  A query's hits do not depend on its batch.
         """
-        results: list[tuple[SearchHit, ...] | None] = []
-        for position, query in enumerate(queries):
-            if cancelled is not None and cancelled(position):
-                results.append(None)
-                continue
-            per_query = None
-            if progress is not None:
-                def per_query(chunk, _position=position):
-                    return progress(_position, chunk)
-            results.append(self.search(query, database, progress=per_query))
-        return results
+        if not queries:
+            return []
+        score = self._scorer(queries)
+        scores = np.zeros((len(queries), len(database)), dtype=np.int64)
+        live = tuple(range(len(queries)))
+        for chunk in self._chunks(database):
+            scores[np.ix_(live, chunk.order)] = score(live, chunk)
+            residues = chunk.cells_per_query_residue
+            still = []
+            for position in live:
+                if cancelled is not None and cancelled(position):
+                    continue
+                cells = len(queries[position]) * residues
+                if progress is None or progress(
+                    position, ChunkProgress(cells)
+                ):
+                    still.append(position)
+            live = tuple(still)
+            if not live:
+                break
+        return [
+            self._hits_from_scores(scores[position], database)
+            if position in live else None
+            for position in range(len(queries))
+        ]
 
     def _hits_from_scores(
         self, scores: np.ndarray, database: SequenceDatabase
     ) -> tuple[SearchHit, ...]:
-        """Top-k hits from a full score vector, matching :meth:`search`.
-
-        A stable sort on descending score reproduces the heap's exact
-        ordering contract (score desc, database index asc on ties), so
-        batch-path hits are byte-identical to the singleton path.
-        """
+        """Top-k hits: score descending, database index ascending on ties."""
         order = np.argsort(-scores, kind="stable")[: self.top]
         return tuple(
             SearchHit(
@@ -210,16 +244,32 @@ class Engine(abc.ABC):
             for index in order
         )
 
-    @abc.abstractmethod
-    def _score_chunks(
-        self, query: Sequence, database: SequenceDatabase
-    ) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(subject_index, score, chunk_cells)`` triples.
+    def _chunks(self, database: SequenceDatabase):
+        """The database cut into chunks: here ``chunk_size`` subjects.
 
-        ``chunk_cells`` is non-zero only on the last subject of each
-        chunk, carrying the whole chunk's cell count (progress is
-        reported at chunk granularity).
+        A chunk has ``order`` (its subjects' database indices) and
+        ``cells_per_query_residue`` (their total length).
         """
+        for start in range(0, len(database), self.chunk_size):
+            subjects = tuple(database[start : start + self.chunk_size])
+            order = np.arange(start, start + len(subjects))
+            yield SubjectChunk(order, subjects)
+
+    @abc.abstractmethod
+    def _scorer(self, queries: list[Sequence]) -> ChunkScorer:
+        """How to score one chunk for *queries* (set up once per batch)."""
+
+    def _profile(self, kind: str, codes: np.ndarray, params: tuple, build):
+        """``build()``, memoized per query when caching is enabled.
+
+        The cache keys on the query's residue codes and, when a pack
+        store backs it, reads the stored profile instead of building.
+        """
+        if self.profile_cache is None:
+            return build()
+        return self.profile_cache.get_or_build(
+            kind, codes.tobytes(), self.matrix, params, build
+        )
 
 
 class StripedSSEEngine(Engine):
@@ -262,9 +312,6 @@ class StripedSSEEngine(Engine):
         raise AssertionError("unreachable: uncapped pass cannot saturate")
 
     def _striped_profile(self, query_codes, lanes: int) -> StripedProfile:
-        if self.profile_cache is None:
-            return StripedProfile.build(query_codes, self.matrix, lanes=lanes)
-
         def build() -> StripedProfile:
             profile = StripedProfile.build(
                 query_codes, self.matrix, lanes=lanes
@@ -272,30 +319,21 @@ class StripedSSEEngine(Engine):
             profile.scores.setflags(write=False)
             return profile
 
-        return self.profile_cache.get_or_build(
-            "striped", query_codes.tobytes(), self.matrix, (int(lanes),), build
-        )
+        return self._profile("striped", query_codes, (int(lanes),), build)
 
-    def _score_chunks(self, query, database):
-        from ..align.reference import _codes
+    def _scorer(self, queries):
+        codes = [_codes(query, self.matrix) for query in queries]
+        profiles: list[dict[int, StripedProfile]] = [{} for _ in queries]
 
-        query_codes = _codes(query, self.matrix)
-        profiles: dict[int, StripedProfile] = {}
-        pending_cells = 0
-        for index, subject in enumerate(database):
+        def pair(position: int, subject: Sequence) -> int:
             subject_codes = _codes(subject, self.matrix)
-            if len(query_codes) == 0 or len(subject_codes) == 0:
-                score = 0
-            else:
-                score = self._score_one(profiles, query_codes, subject_codes)
-            pending_cells += len(query_codes) * len(subject_codes)
-            last_of_chunk = (index + 1) % self.chunk_size == 0
-            last_overall = index + 1 == len(database)
-            if last_of_chunk or last_overall:
-                yield index, score, pending_cells
-                pending_cells = 0
-            else:
-                yield index, score, 0
+            if len(codes[position]) == 0 or len(subject_codes) == 0:
+                return 0
+            return self._score_one(
+                profiles[position], codes[position], subject_codes
+            )
+
+        return _per_pair(pair)
 
 
 class InterSequenceEngine(Engine):
@@ -314,84 +352,40 @@ class InterSequenceEngine(Engine):
         super().__init__(*args, **kwargs)
         self.lanes = lanes
 
-    def _packs(self, database):
+    def _chunks(self, database):
         """Lane packs for *database*: cached conversion when enabled."""
         if self.pack_cache is None:
             return pack_database(database, self.matrix, lanes=self.lanes)
         return self.pack_cache.packs(database, self.matrix, self.lanes)
 
-    def _profile(self, kind, codes, build):
-        """``build(codes, matrix)``, memoized when caching is enabled.
+    def _scorer(self, queries):
+        """One sweep per pack over the live queries, laid back to back.
 
-        *codes* is one query's residue codes, or a list of them for a
-        stacked multi-query profile; the cache keys on their bytes.
+        Each query brings its own ``"padded"`` profile (cached, or read
+        from the store); the live ones' profiles side by side are
+        :func:`~repro.align.multiquery.build_multi_profile` of their
+        codes, so the pack loop, the profile gather and the lazy-F scan
+        are paid once per batch.
         """
-        if self.profile_cache is None:
-            return build(codes, self.matrix)
-        if isinstance(codes, list):
-            key = tuple(c.tobytes() for c in codes)
-        else:
-            key = codes.tobytes()
-        return self.profile_cache.get_or_build(
-            kind, key, self.matrix, (), lambda: build(codes, self.matrix)
-        )
-
-    def search_batch(self, queries, database, progress=None, cancelled=None):
-        """Native multi-query sweep: all queries share each lane pack.
-
-        One DP sweep (:func:`~repro.align.multiquery.sw_score_batch_multi`)
-        over the queries laid back to back, none padded to the longest,
-        advances every query over a pack simultaneously, so the pack
-        loop, the profile gather and the lazy-F scan are paid once per
-        batch.  Abort/cancel granularity stays per pack, exactly as in
-        the singleton path.
-        """
-        from ..align.reference import _codes
-
-        if not queries:
-            return []
-        queries_codes = [_codes(q, self.matrix) for q in queries]
-        mq = self._profile("multi", queries_codes, build_multi_profile)
-        scores = np.zeros((len(queries), len(database)), dtype=np.int64)
-        aborted = [False] * len(queries)
-        for pack in self._packs(database):
-            scores[:, pack.order] = sw_score_batch_multi(mq, pack, self.gaps)
-            # After each pack every live query is polled (*cancelled*)
-            # and then reported (*progress*, ``False`` aborts it); once
-            # every query is aborted the remaining packs are skipped.
-            for position, codes in enumerate(queries_codes):
-                if aborted[position]:
-                    continue
-                if cancelled is not None and cancelled(position):
-                    aborted[position] = True
-                    continue
-                if progress is not None:
-                    cells = len(codes) * pack.cells_per_query_residue
-                    if not progress(position, ChunkProgress(cells)):
-                        aborted[position] = True
-            if all(aborted):
-                break
-        return [
-            None if aborted[position]
-            else self._hits_from_scores(scores[position], database)
-            for position in range(len(queries))
+        codes = [_codes(query, self.matrix) for query in queries]
+        profiles = [
+            self._profile(
+                "padded", c, (), lambda c=c: _padded_profile(c, self.matrix)
+            )
+            for c in codes
         ]
 
-    def _score_chunks(self, query, database):
-        from ..align.reference import _codes
-
-        query_codes = _codes(query, self.matrix)
-        profile = self._profile("padded", query_codes, _padded_profile)
-        for pack in self._packs(database):
-            scores = sw_score_batch(
-                query_codes, pack, self.matrix, self.gaps, profile=profile
+        # Restacked only when a query drops out of the live set.
+        @functools.lru_cache(maxsize=1)
+        def stack(live: tuple) -> MultiQueryProfile:
+            return MultiQueryProfile(
+                np.concatenate([profiles[p] for p in live], axis=1),
+                np.array([profiles[p].shape[1] for p in live], np.int64),
             )
-            chunk_cells = len(query_codes) * pack.cells_per_query_residue
-            for position, db_index in enumerate(pack.order):
-                is_last = position + 1 == len(pack.order)
-                yield int(db_index), int(scores[position]), (
-                    chunk_cells if is_last else 0
-                )
+
+        return lambda live, pack: sw_score_batch_multi(
+            stack(live), pack, self.gaps
+        )
 
 
 class ScanEngine(Engine):
@@ -399,18 +393,12 @@ class ScanEngine(Engine):
 
     pe_class = "scan"
 
-    def _score_chunks(self, query, database):
-        pending_cells = 0
-        for index, subject in enumerate(database):
-            result = sw_score_scan(query, subject, self.matrix, self.gaps)
-            pending_cells += result.cells
-            last_of_chunk = (index + 1) % self.chunk_size == 0
-            last_overall = index + 1 == len(database)
-            if last_of_chunk or last_overall:
-                yield index, result.score, pending_cells
-                pending_cells = 0
-            else:
-                yield index, result.score, 0
+    def _scorer(self, queries):
+        return _per_pair(
+            lambda position, subject: sw_score_scan(
+                queries[position], subject, self.matrix, self.gaps
+            ).score
+        )
 
 
 class ThrottledEngine(Engine):
@@ -419,7 +407,8 @@ class ThrottledEngine(Engine):
     Test/demonstration harness: makes a PE deterministically slow (or
     slow *from a given wall-clock moment*, emulating the superpi
     experiment on the real runtime) so that replication and PSS
-    adaptation can be exercised reproducibly with real kernels.
+    adaptation can be exercised reproducibly with real kernels.  The
+    delay is paid once per chunk of a search, whatever its batch width.
     """
 
     pe_class = "throttled"
@@ -432,8 +421,8 @@ class ThrottledEngine(Engine):
     ):
         if delay_per_chunk < 0 or start_after < 0:
             raise ValueError("delays must be non-negative")
-        # Note: deliberately *not* calling super().__init__; all search
-        # behaviour is delegated to the wrapped engine.
+        # Note: deliberately *not* calling super().__init__; chunking
+        # and scoring are delegated to the wrapped engine.
         self.inner = inner
         self.delay_per_chunk = delay_per_chunk
         self.start_after = start_after
@@ -466,21 +455,20 @@ class ThrottledEngine(Engine):
     def bind_caches(self, registry):
         self.inner.bind_caches(registry)
 
-    def search(self, query, database, progress=None):
+    def _chunks(self, database):
+        return self.inner._chunks(database)
+
+    def _scorer(self, queries):
         import time
 
         if self._started is None:
             self._started = time.perf_counter()
+        score = self.inner._scorer(queries)
 
-        def throttled_progress(chunk: ChunkProgress) -> bool:
+        def throttled(live, chunk):
             elapsed = time.perf_counter() - self._started
             if elapsed >= self.start_after and self.delay_per_chunk > 0:
                 time.sleep(self.delay_per_chunk)
-            if progress is None:
-                return True
-            return progress(chunk)
+            return score(live, chunk)
 
-        return self.inner.search(query, database, progress=throttled_progress)
-
-    def _score_chunks(self, query, database):  # pragma: no cover
-        raise NotImplementedError("ThrottledEngine delegates search()")
+        return throttled

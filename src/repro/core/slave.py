@@ -29,6 +29,13 @@ through :func:`message_gate`, which under a fault plan sends each
 message 0, 1 or 2 times.  The loop owns everything the environments
 share: that gate, crash checks, stale cancel flags, batching, straggle
 dilation and the per-task fan-out of a multi-query sweep.
+
+Every group of tasks, a lone task or replica included, runs as one
+:meth:`~repro.core.engines.Engine.search_batch` call.  After each chunk
+of the database the engine polls each live task's cancel flag (in
+``cancels``) and then reports its progress; a cancelled task, or one
+whose progress reply says it was cancelled, is scored no further and
+ends with ``cancelled``.
 """
 
 from __future__ import annotations
@@ -148,20 +155,10 @@ def serve(
             last = now
             return task.task_id not in link.cancels
 
-        if len(tasks) == 1:
-            hit_lists = [
-                engine.search(
-                    queries[0], database,
-                    progress=lambda chunk: progress(0, chunk),
-                )
-            ]
-        else:
-            hit_lists = engine.search_batch(
-                queries, database, progress=progress,
-                cancelled=lambda position: (
-                    tasks[position].task_id in link.cancels
-                ),
-            )
+        hit_lists = engine.search_batch(
+            queries, database, progress=progress,
+            cancelled=lambda position: tasks[position].task_id in link.cancels,
+        )
         elapsed = max(clock() - started, 1e-9)
         total_cells = sum(task.cells for task in tasks)
         done = 0

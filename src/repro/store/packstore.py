@@ -81,8 +81,8 @@ __all__ = [
 
 PACKSTORE_SCHEMA = "repro.packstore.v1"
 
-#: Profile kinds the store can serialize.  "multi" profiles are batch
-#: composites keyed by tuples of queries; they stay in-memory only.
+#: Profile kinds the store can serialize: one query's each.  A batch
+#: stacks its members' ``padded`` profiles, so it reads them here too.
 STORABLE_PROFILE_KINDS = ("padded", "striped")
 
 _CRC_CHUNK = 1 << 20

@@ -38,6 +38,20 @@ def task(task_id: int, chunk_index: int = 0) -> Task:
     )
 
 
+#: Every engine kind, and a throttled lane engine, each cutting the
+#: test databases into several chunks.
+ENGINE_KINDS = ("gpu", "sse", "scan", "throttled")
+
+
+def make_engine(kind: str):
+    if kind == "throttled":
+        return ThrottledEngine(make_engine("gpu"), delay_per_chunk=0.0)
+    if kind == "gpu":
+        return InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, top=6, lanes=4)
+    engine_cls = {"sse": StripedSSEEngine, "scan": ScanEngine}[kind]
+    return engine_cls(BLOSUM62, DEFAULT_GAPS, top=6, chunk_size=4)
+
+
 def hit_projection(results):
     return {
         query_id: [(h.subject_index, h.score) for h in hits]
@@ -113,29 +127,56 @@ class TestEngineSearchBatch:
             [(h.subject_index, h.score) for h in hits] for hits in batch
         ] == singles
 
-    def test_abort_one_query_leaves_others(self, workload):
+    @pytest.mark.parametrize("engine_kind", ENGINE_KINDS)
+    def test_abort_one_query_leaves_others(self, workload, engine_kind):
         queries, database = workload
-        engine = InterSequenceEngine(
-            BLOSUM62, DEFAULT_GAPS, top=6, chunk_size=4
-        )
+        engine = make_engine(engine_kind)
+        calls = []
 
         def progress(position, chunk):
+            calls.append(position)
             return position != 1  # abort only the second query
 
         batch = engine.search_batch(queries, database, progress=progress)
         assert batch[1] is None
-        assert all(batch[i] is not None for i in (0, 2, 3, 4))
+        assert calls.count(1) == 1  # an aborted query is scored no further
+        assert calls.count(0) > 1  # several chunks
+        for i in (0, 2, 3, 4):
+            assert batch[i] == engine.search(queries[i], database)
 
-    def test_cancelled_callback_aborts_query(self, workload):
+    @pytest.mark.parametrize("engine_kind", ENGINE_KINDS)
+    def test_cancelled_callback_aborts_query(self, workload, engine_kind):
         queries, database = workload
-        engine = InterSequenceEngine(
-            BLOSUM62, DEFAULT_GAPS, top=6, chunk_size=4
-        )
+        engine = make_engine(engine_kind)
         batch = engine.search_batch(
             queries, database, cancelled=lambda position: position == 0
         )
         assert batch[0] is None
-        assert all(batch[i] is not None for i in range(1, 5))
+        for i in range(1, 5):
+            assert batch[i] == engine.search(queries[i], database)
+
+    def test_throttled_lane_engine_sweeps_each_pack_once(
+        self, workload, monkeypatch
+    ):
+        """A throttled batch runs one multi-query sweep per lane pack,
+        not one single-query sweep per query per pack."""
+        from repro.align.intersequence import pack_database
+        from repro.core import engines
+
+        queries, database = workload
+        sweeps = []
+        real = engines.sw_score_batch_multi
+
+        def counting(mq, pack, gaps):
+            sweeps.append(mq.queries)
+            return real(mq, pack, gaps)
+
+        monkeypatch.setattr(engines, "sw_score_batch_multi", counting)
+        batch = make_engine("throttled").search_batch(queries, database)
+        packs = len(list(pack_database(database, BLOSUM62, lanes=4)))
+        assert packs > 1
+        assert sweeps == [len(queries)] * packs
+        assert all(hits is not None for hits in batch)
 
 
 class TestThreadedEquivalence:
@@ -226,22 +267,18 @@ class TestThreadedEquivalence:
         slow_busy = threading.Event()
 
         class FastAfterSlow(InterSequenceEngine):
-            def search(self, *args, **kwargs):
-                slow_busy.wait(timeout=10)
-                return super().search(*args, **kwargs)
-
             def search_batch(self, *args, **kwargs):
                 slow_busy.wait(timeout=10)
                 return super().search_batch(*args, **kwargs)
 
         class SignallingThrottle(ThrottledEngine):
-            def search(self, *args, **kwargs):
+            def search_batch(self, *args, **kwargs):
                 slow_busy.set()
-                return super().search(*args, **kwargs)
+                return super().search_batch(*args, **kwargs)
 
-        fast = FastAfterSlow(BLOSUM62, DEFAULT_GAPS, chunk_size=24)
+        fast = FastAfterSlow(BLOSUM62, DEFAULT_GAPS)
         slow = SignallingThrottle(
-            InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=1),
+            InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, lanes=1),
             delay_per_chunk=0.05,
         )
         runtime = HybridRuntime({"fast": fast, "slow": slow}, batch=2)

@@ -34,6 +34,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", q, db, "--policy", "rr"])
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["search", "cluster", "serve",
+                                         "worker"])
+    def test_top_below_one_rejected(self, fasta_files, capsys, command,
+                                    top):
+        q, db = fasta_files
+        argv = {
+            "search": ["search", q, db],
+            "cluster": ["cluster", q, db],
+            "serve": ["serve", q, db],
+            "worker": ["worker", "--host", "h", "--port", "1", "--pe-id",
+                       "w", "--queries", q, "--database", db],
+        }[command]
+        assert build_parser().parse_args(argv + ["--top", "1"]).top == 1
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--top", top])
+        assert exc.value.code == 2
+        assert "--top: must be at least 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_search(self, fasta_files, capsys):

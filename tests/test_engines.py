@@ -15,7 +15,11 @@ def query(rng):
 
 @pytest.fixture(params=[StripedSSEEngine, InterSequenceEngine, ScanEngine])
 def engine(request):
-    return request.param(BLOSUM62, DEFAULT_GAPS, top=5, chunk_size=4)
+    # The lane engine's chunks are its lane packs, not chunk_size
+    # subjects: four lanes cut the mini database into several packs.
+    lanes = {"lanes": 4} if request.param is InterSequenceEngine else {}
+    return request.param(BLOSUM62, DEFAULT_GAPS, top=5, chunk_size=4,
+                         **lanes)
 
 
 class TestSearchCorrectness:
@@ -56,6 +60,14 @@ class TestProgressAndAbort:
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):
             ScanEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=0)
+
+    @pytest.mark.parametrize("top", [0, -1])
+    @pytest.mark.parametrize(
+        "engine_cls", [StripedSSEEngine, InterSequenceEngine, ScanEngine]
+    )
+    def test_invalid_top(self, engine_cls, top):
+        with pytest.raises(ValueError, match="top must be at least 1"):
+            engine_cls(BLOSUM62, DEFAULT_GAPS, top=top)
 
 
 class TestPEClass:
@@ -101,11 +113,11 @@ class TestThrottledEngine:
 
         from repro.core import ThrottledEngine
 
-        inner = InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=8)
+        inner = InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, lanes=4)
         throttled = ThrottledEngine(inner, delay_per_chunk=0.01)
         started = time.perf_counter()
         throttled.search(query, mini_database)
-        # 25 sequences / 8-lane packs -> at least 3 chunks, >= 30 ms.
+        # 25 sequences / 4-lane packs -> at least 3 chunks, >= 30 ms.
         assert time.perf_counter() - started >= 0.02
 
     def test_forces_replication_in_runtime(self, rng):
@@ -115,9 +127,9 @@ class TestThrottledEngine:
 
         queries = query_set(4, rng, 20, 30)
         database = random_database(24, 40.0, rng, name="rescue")
-        fast = InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=24)
+        fast = InterSequenceEngine(BLOSUM62, DEFAULT_GAPS)
         slow = ThrottledEngine(
-            InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, chunk_size=1),
+            InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, lanes=1),
             delay_per_chunk=0.05,
         )
         runtime = HybridRuntime({"fast": fast, "slow": slow})

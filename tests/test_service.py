@@ -382,9 +382,9 @@ class _SlowScan(ScanEngine):
         super().__init__(BLOSUM62, DEFAULT_GAPS, **kw)
         self.delay = delay
 
-    def search(self, *args, **kwargs):
+    def search_batch(self, *args, **kwargs):
         time.sleep(self.delay)
-        return super().search(*args, **kwargs)
+        return super().search_batch(*args, **kwargs)
 
 
 @pytest.fixture(scope="module")

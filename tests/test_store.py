@@ -277,6 +277,53 @@ class TestStoreBackedCaches:
         assert engine.pack_cache.store is not None
 
 
+def _hits_bytes(hit_lists) -> bytes:
+    """Canonical bytes of a list of per-query hit tuples."""
+    import dataclasses
+    import json
+
+    return json.dumps([
+        [dataclasses.asdict(hit) for hit in hits] for hits in hit_lists
+    ]).encode()
+
+
+def _no_build(*args):
+    raise AssertionError("a warm search reads the stored profile")
+
+
+class TestWarmBatch:
+    def test_warm_batch_reads_stored_profiles(self, tmp_path, monkeypatch):
+        """After ``db build --queries`` a warm batched search builds no
+        profile: each query's stored ``padded`` profile is stacked."""
+        from repro.cli import main
+        from repro.core import engines
+        from repro.sequences import query_set, read_fasta, write_fasta
+
+        rng = np.random.default_rng(5)
+        write_fasta(query_set(4, rng, 20, 60), tmp_path / "q.fasta")
+        write_fasta(random_database(30, 40.0, rng, name="warm-batch"),
+                    tmp_path / "db.fasta")
+        assert main(["db", "build", str(tmp_path / "db.fasta"),
+                     "--store", str(tmp_path / "s"),
+                     "--queries", str(tmp_path / "q.fasta")]) == 0
+        queries = read_fasta(tmp_path / "q.fasta",
+                             alphabet=BLOSUM62.alphabet)
+        database = SequenceDatabase.from_fasta(
+            tmp_path / "db.fasta", alphabet=BLOSUM62.alphabet
+        )
+        cold = _hits_bytes(InterSequenceEngine(
+            BLOSUM62, DEFAULT_GAPS, top=10
+        ).search_batch(queries, database))
+
+        monkeypatch.setattr(engines, "_padded_profile", _no_build)
+        monkeypatch.setattr(engines, "build_multi_profile", _no_build)
+        warm = InterSequenceEngine(
+            BLOSUM62, DEFAULT_GAPS, top=10, store=str(tmp_path / "s")
+        )
+        assert _hits_bytes(warm.search_batch(queries, database)) == cold
+        assert warm.profile_cache.lru.misses == len(queries)
+
+
 class TestInt64ProfileCompatibility:
     """Stores written before the sweep narrowed its state still search.
 
@@ -284,13 +331,11 @@ class TestInt64ProfileCompatibility:
     ``(A+1, m)`` arrays whose pad row and pad positions hold ``-2**40``.
     The sweep narrows a profile to its int16/int32 state on entry, so a
     warm search through such a store must give a cold search's hits,
-    byte for byte: one query runs in int16 and one in int32.
+    byte for byte: one query runs in int16 and one in int32, singly and
+    in one batch.
     """
 
     def test_warm_search_through_int64_profiles(self, tmp_path, monkeypatch):
-        import dataclasses
-        import json
-
         from repro.align.intersequence import DEFAULT_LANES
         from repro.core import engines
 
@@ -314,21 +359,20 @@ class TestInt64ProfileCompatibility:
             assert back.tobytes() == padded.tobytes()
 
         def hits_bytes(engine):
-            return json.dumps([
-                [dataclasses.asdict(hit) for hit in engine.search(q, database)]
-                for q in queries
-            ]).encode()
+            return _hits_bytes(engine.search(q, database) for q in queries)
 
         cold = hits_bytes(InterSequenceEngine(BLOSUM62, DEFAULT_GAPS, top=10))
 
-        def no_build(*args):
-            raise AssertionError("a warm search reads the stored profile")
-
-        monkeypatch.setattr(engines, "_padded_profile", no_build)
+        monkeypatch.setattr(engines, "_padded_profile", _no_build)
+        monkeypatch.setattr(engines, "build_multi_profile", _no_build)
         warm = InterSequenceEngine(
             BLOSUM62, DEFAULT_GAPS, top=10, store=str(tmp_path / "s")
         )
         assert hits_bytes(warm) == cold
+        batched = InterSequenceEngine(
+            BLOSUM62, DEFAULT_GAPS, top=10, store=str(tmp_path / "s")
+        )
+        assert _hits_bytes(batched.search_batch(queries, database)) == cold
 
 
 def _add_binned_entry(store, database, lanes=4, bin_width=4):
